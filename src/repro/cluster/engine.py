@@ -267,8 +267,8 @@ def simulate_cluster(
             Passive, like ``energy``.
         faults: Optional :class:`~repro.faults.spec.FaultSpec` timeline.
             Its boundaries fire as first-class events: outages kill the
-            in-flight blocks of failed accelerators (the requests re-enter
-            the ready queue ticket-preserving), slowdown windows stretch
+            in-flight blocks of failed accelerators (the requests' parked
+            rows return to the ready queue), slowdown windows stretch
             service time, blackout windows shed arrivals at admission
             (reason ``fault_blackout``), and revocations remove capacity
             via the graceful drain path.  The result metrics gain

@@ -44,6 +44,7 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -410,8 +411,9 @@ class Pool:
 
         Unlike :meth:`remove_accelerators` (graceful drain), a failure
         kills the in-flight layer block: the request re-enters the ready
-        queue ticket-preserving (its scheduler row was stashed at dispatch
-        and is restored by the re-append; no completion callbacks fire),
+        queue with its scheduler state intact (its row was parked at
+        dispatch and the re-append un-parks it; no completion callbacks
+        fire),
         the optimistic ``busy_time`` charge is rolled back, and the stale
         block event is invalidated via the kill epoch.  Failed capacity
         stays provisioned — the bill keeps running — but is invisible to
@@ -676,7 +678,7 @@ class Pool:
                 )
             return True
         # Re-admit before the monitor callback so batch schedulers can
-        # refresh the request's row (aux state was stashed at dispatch).
+        # refresh the request's row (parked at dispatch, un-parked here).
         self.queue.append(request)
         self.scheduler.on_layer_complete(request, now)
         if prof is not None:

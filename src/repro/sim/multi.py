@@ -17,8 +17,8 @@ pays the reload cost when it switches to a different request.
 
 Like the single-NPU engine, converted schedulers run on the vectorized
 path: the shared queue is a :class:`~repro.sim.ready_queue.ReadyQueue`, a
-running request leaves the queue with its aux state stashed and re-enters
-with it restored, and selections dispatch to ``select_single`` /
+running request's row is parked past the live queue, aux state and all,
+and un-parked when its block ends, and selections dispatch to ``select_single`` /
 ``select_batch``.  ``use_batch=False`` forces the scalar reference path.
 """
 
@@ -286,7 +286,7 @@ def simulate_multi(
                     c_violations.inc()
         else:
             # Re-admit before the monitor callback so batch schedulers can
-            # refresh the request's row (aux state was stashed at dispatch).
+            # refresh the request's row (parked at dispatch, un-parked here).
             queue.append(req)
             scheduler.on_layer_complete(req, now)
         if prof is not None:

@@ -8,7 +8,14 @@ decision.  :class:`ReadyQueue` instead keeps the scheduler-visible scalar
 state in parallel **numpy arrays** (plus plain-list mirrors for the small-
 queue fast path), maintained incrementally:
 
-* **O(1) swap-remove** — removing a request moves the tail entry into its
+* **live and parked rows** — rows ``[0, len(queue))`` are the live queue
+  every policy scans; the rows after them are *parked*: requests running a
+  layer block on an accelerator (multi / cluster engines).  Dispatch parks
+  the winner with one row swap (``remove(request, requeue=True)``), the
+  block end un-parks it with another (``add``) and refreshes only its
+  progress columns, and a finished request's parked row is dropped
+  (``forget``).  Constant columns and aux state never leave the row.
+* **O(1) swap-remove** — removing a request moves another row into its
   slot in every column; order is not preserved (no converted policy is
   order-sensitive: every selection key ends in the unique rid).
 * **O(1) incremental updates** — arrival fills a row from the request's
@@ -16,9 +23,8 @@ queue fast path), maintained incrementally:
 * **column subsets** — the bound scheduler declares which columns it reads
   (``Scheduler.batch_columns``), and only those are maintained.
 * **aux columns** — named scheduler-owned per-request state (PREMA tokens,
-  Dysta's cached remaining estimate) that rides along with swap-removes and
-  survives the remove/re-add cycle of the multi-accelerator engines via a
-  requeue stash.
+  Dysta's cached remaining estimate) that rides along with row moves and
+  stays in the parked row while its request runs.
 
 The queue also implements the ``Sequence`` protocol over the live
 :class:`~repro.sim.request.Request` objects, so unconverted schedulers'
@@ -32,6 +38,7 @@ writers mark a column dirty and the mirror is rebuilt lazily.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -94,15 +101,12 @@ class ReadyQueue(Sequence):
         self._lut = lut
         self._cols = frozenset(columns)
         self._cap = max(int(capacity), 4)
+        #: Live rows are ``[0, _n)``; rows ``[_n, len(_requests))`` are
+        #: parked (their requests are running on an accelerator).
         self._n = 0
         self._requests: List[Request] = []
+        #: rid -> row, for live and parked rows alike.
         self._pos: Dict[int, int] = {}
-        #: rid -> (column values, aux values, missing flag) for requests
-        #: temporarily removed while running on an accelerator (multi /
-        #: cluster engines).  Re-adding a ticketed request restores the
-        #: constant columns verbatim and only recomputes the progress-
-        #: dependent ones.
-        self._stash: Dict[int, tuple] = {}
         self._missing = 0  # live requests without a LUT entry
         #: Change journal for the incremental selection cache: rids touched
         #: since the cache last rebuilt.  ``None`` until a cache attaches via
@@ -118,19 +122,16 @@ class ReadyQueue(Sequence):
             active = col in self._cols
             setattr(self, f"np_{col}", np.empty(self._cap) if active else None)
             setattr(self, f"ls_{col}", [] if active else None)
-        #: Precomputed attribute names for the hot swap-remove path.
+        #: Precomputed attribute names of the active columns.
         self._col_attrs: Tuple[Tuple[str, str], ...] = tuple(
             (f"np_{c}", f"ls_{c}") for c in sorted(self._cols)
         )
-        #: The list mirrors are stable objects (mutated in place, never
-        #: rebound), so the requeue-ticket path can hold direct references;
-        #: the numpy twin is rebound on growth (see :meth:`_grow`).
-        self._ls_cols: Tuple[list, ...] = tuple(
-            getattr(self, ls_name) for _, ls_name in self._col_attrs
-        )
-        self._np_cols: Tuple[np.ndarray, ...] = tuple(
-            getattr(self, np_name) for np_name, _ in self._col_attrs
-        )
+        #: (numpy array, list mirror) of every active column, for the row
+        #: moves.  The list mirrors are stable objects (mutated in place,
+        #: never rebound); the arrays are rebound on growth (see
+        #: :meth:`_grow`), which rebuilds this tuple.
+        self._col_pairs: Tuple[Tuple[np.ndarray, list], ...] = ()
+        self._bind_col_pairs()
         # Which progress-dependent columns update_progress must refresh.
         self._up_lre = "last_run_end" in self._cols
         self._up_exec = "executed_time" in self._cols
@@ -148,19 +149,27 @@ class ReadyQueue(Sequence):
         return self._n
 
     def __iter__(self) -> Iterator[Request]:
-        return iter(self._requests)
+        return islice(self._requests, self._n)
 
     def __getitem__(self, idx):
-        return self._requests[idx]
+        n = self._n
+        try:
+            if 0 <= idx < n:
+                return self._requests[idx]
+        except TypeError:  # a slice
+            return self._requests[:n][idx]
+        if -n <= idx < 0:
+            return self._requests[idx + n]
+        raise IndexError("ready-queue index out of range")
 
     def __contains__(self, item) -> bool:
         i = self._pos.get(getattr(item, "rid", -1))
-        return i is not None and self._requests[i] is item
+        return i is not None and i < self._n and self._requests[i] is item
 
     def index_of(self, request: Request) -> int:
-        """Slot index of ``request``, or -1 when absent."""
+        """Slot index of live ``request``, or -1 when absent or parked."""
         i = self._pos.get(request.rid)
-        if i is not None and self._requests[i] is request:
+        if i is not None and i < self._n and self._requests[i] is request:
             return i
         return -1
 
@@ -197,9 +206,10 @@ class ReadyQueue(Sequence):
         """Create a scheduler-owned per-request column (idempotent)."""
         if name in self._aux:
             return
+        rows = len(self._requests)
         arr = np.empty(self._cap)
-        arr[: self._n] = default
-        self._aux[name] = _AuxColumn(arr, [default] * self._n, default)
+        arr[:rows] = default
+        self._aux[name] = _AuxColumn(arr, [default] * rows, default)
 
     def aux_np(self, name: str) -> np.ndarray:
         """Full-capacity aux array (slice with ``[:len(queue)]``); read-only
@@ -207,7 +217,10 @@ class ReadyQueue(Sequence):
         return self._aux[name].arr
 
     def aux_np_writable(self, name: str) -> np.ndarray:
-        """Aux array for vectorized in-place writes; marks the mirror stale."""
+        """Aux array for vectorized in-place writes; marks the mirror stale.
+
+        Write only the live rows ``[:len(queue)]``: parked rows keep their
+        values for the request's return."""
         col = self._aux[name]
         col.dirty = True
         # A vector write may touch every row: invalidate the whole journal.
@@ -223,7 +236,7 @@ class ReadyQueue(Sequence):
         """
         col = self._aux[name]
         if col.dirty:
-            col.ls[:] = col.arr[: self._n].tolist()
+            col.ls[:] = col.arr[: len(self._requests)].tolist()
             col.dirty = False
         return col.ls
 
@@ -238,9 +251,9 @@ class ReadyQueue(Sequence):
 
     def aux_set_for(self, name: str, request: Request, value: float) -> None:
         """Fused ``aux_set(name, index_of(request), value)``; no-op when the
-        request is not in the queue (hot path of the monitor callbacks)."""
+        request is absent or parked (hot path of the monitor callbacks)."""
         i = self._pos.get(request.rid)
-        if i is None or self._requests[i] is not request:
+        if i is None or i >= self._n or self._requests[i] is not request:
             return
         col = self._aux[name]
         col.arr[i] = value
@@ -250,52 +263,141 @@ class ReadyQueue(Sequence):
             self._journal.add(request.rid)
 
     def forget(self, rid: int) -> None:
-        """Drop any requeue stash for ``rid`` (call when a request finishes
-        outside the queue, so streaming replays stay bounded-memory)."""
-        self._stash.pop(rid, None)
+        """Drop ``rid``'s parked row (call when a request finishes outside
+        the queue, so streaming replays stay bounded-memory).  No-op for a
+        live or unknown rid."""
+        j = self._pos.get(rid)
+        if j is None or j < self._n:
+            return
+        del self._pos[rid]
+        tail = len(self._requests) - 1
+        if j != tail:
+            self._move(tail, j)
+        self._pop_row()
+
+    # -- row moves ----------------------------------------------------------
+
+    def _bind_col_pairs(self) -> None:
+        self._col_pairs = tuple(
+            (getattr(self, np_name), getattr(self, ls_name))
+            for np_name, ls_name in self._col_attrs
+        )
+
+    def _swap(self, i: int, j: int) -> None:
+        """Exchange rows ``i`` and ``j`` in every store."""
+        reqs = self._requests
+        a = reqs[i]
+        b = reqs[j]
+        reqs[i] = b
+        reqs[j] = a
+        pos = self._pos
+        pos[b.rid] = i
+        pos[a.rid] = j
+        ls = self.ls_rid
+        x = ls[i]
+        y = ls[j]
+        ls[i] = y
+        ls[j] = x
+        arr = self.np_rid
+        arr[i] = y
+        arr[j] = x
+        for arr, ls in self._col_pairs:
+            x = ls[i]
+            y = ls[j]
+            ls[i] = y
+            ls[j] = x
+            arr[i] = y
+            arr[j] = x
+        for col in self._aux.values():
+            arr = col.arr
+            if col.dirty:
+                arr[i], arr[j] = arr[j], arr[i]
+            else:
+                ls = col.ls
+                x = ls[i]
+                y = ls[j]
+                ls[i] = y
+                ls[j] = x
+                arr[i] = y
+                arr[j] = x
+        if self._need_entry:
+            ls = self._ls_missing
+            ls[i], ls[j] = ls[j], ls[i]
+
+    def _move(self, src: int, dst: int) -> None:
+        """Copy row ``src`` over row ``dst`` (whose rid is already gone)."""
+        moved = self._requests[src]
+        self._requests[dst] = moved
+        self._pos[moved.rid] = dst
+        self.ls_rid[dst] = moved.rid
+        self.np_rid[dst] = moved.rid
+        for arr, ls in self._col_pairs:
+            v = ls[src]
+            ls[dst] = v
+            arr[dst] = v
+        for col in self._aux.values():
+            arr = col.arr
+            if col.dirty:
+                arr[dst] = arr[src]
+            else:
+                v = col.ls[src]
+                col.ls[dst] = v
+                arr[dst] = v
+        if self._need_entry:
+            self._ls_missing[dst] = self._ls_missing[src]
+
+    def _pop_row(self) -> None:
+        """Drop the last row (live or parked) from every list store."""
+        self._requests.pop()
+        self.ls_rid.pop()
+        for _, ls in self._col_pairs:
+            ls.pop()
+        for col in self._aux.values():
+            col.ls.pop()
+        if self._need_entry:
+            self._ls_missing.pop()
 
     # -- mutation -----------------------------------------------------------
 
     def _grow(self) -> None:
+        rows = len(self._requests)
         new_cap = self._cap * 2
         grown = np.empty(new_cap, dtype=np.int64)
-        grown[: self._n] = self.np_rid[: self._n]
+        grown[:rows] = self.np_rid[:rows]
         self.np_rid = grown
         for np_name, _ in self._col_attrs:
             old = getattr(self, np_name)
             arr = np.empty(new_cap)
-            arr[: self._n] = old[: self._n]
+            arr[:rows] = old[:rows]
             setattr(self, np_name, arr)
         for col in self._aux.values():
             arr = np.empty(new_cap)
-            arr[: self._n] = col.arr[: self._n]
+            arr[:rows] = col.arr[:rows]
             col.arr = arr
-        self._np_cols = tuple(
-            getattr(self, np_name) for np_name, _ in self._col_attrs
-        )
+        self._bind_col_pairs()
         self._cap = new_cap
 
     def add(self, request: Request) -> int:
         """Admit ``request``; fills every active column from its cached state.
 
-        Returns the slot index.  A request re-entering after running a layer
-        block (multi-accelerator engines) restores its stashed aux state.
+        Returns the slot index.  A parked request (back from running a layer
+        block on a multi-accelerator engine) is un-parked instead: its row
+        keeps its constant columns and aux state, and only the progress
+        columns are refreshed.
         """
-        i = self._n
+        rid = request.rid
+        j = self._pos.get(rid)
+        if j is not None:
+            return self._unpark(request, j)
+        i = len(self._requests)
         if i == self._cap:
             self._grow()
-        rid = request.rid
         self._requests.append(request)
         self._pos[rid] = i
-        self._n = i + 1
         self.np_rid[i] = rid
         self.ls_rid.append(rid)
         if self._journal is not None:
             self._journal.add(rid)
-
-        ticket = self._stash.pop(rid, None) if self._stash else None
-        if ticket is not None:
-            return self._readd(request, i, ticket)
 
         cols = self._cols
         if cols:
@@ -347,115 +449,74 @@ class ReadyQueue(Sequence):
             col.arr[i] = v
             # A stale mirror still tracks length; contents rebuilt on sync.
             col.ls.append(v)
-        return i
+        n = self._n
+        if i != n:
+            # Parked rows sit past the live ones: trade places with the
+            # first of them.
+            self._swap(i, n)
+        self._n = n + 1
+        return n
 
-    def _readd(self, request: Request, i: int, ticket: tuple) -> int:
-        """Re-admit a request that left via ``remove(requeue=True)``.
-
-        Constant columns (arrival, deadline, priority, isolated latencies)
-        come back verbatim from the ticket; only the progress-dependent
-        columns are recomputed from the request, and the LUT lookup /
-        missing-entry bookkeeping is skipped entirely.
-        """
-        col_vals, aux_vals, missing = ticket
-        for arr, ls, v in zip(self._np_cols, self._ls_cols, col_vals):
-            arr[i] = v
-            ls.append(v)
-        if self._need_entry:
-            self._ls_missing.append(missing)
-            if missing:
-                self._missing += 1
-        if self._up_lre:
-            v = request.last_run_end
-            self.np_last_run_end[i] = v
-            self.ls_last_run_end[i] = v
-        if self._up_exec:
-            v = request.executed_time
-            self.np_executed_time[i] = v
-            self.ls_executed_time[i] = v
-        if self._up_true_rem:
-            v = request.true_remaining
-            self.np_true_remaining[i] = v
-            self.ls_true_remaining[i] = v
-        if self._up_est_rem and not missing:
-            entry = request.lut_entry(self._lut)
-            v = entry.remaining_suffix_t[request.next_layer]
-            self.np_est_remaining[i] = v
-            self.ls_est_remaining[i] = v
-        for col, v in zip(self._aux.values(), aux_vals):
-            col.arr[i] = v
-            col.ls.append(v)
-        return i
+    def _unpark(self, request: Request, j: int) -> int:
+        """Move parked row ``j`` back into the live region, refreshed."""
+        n = self._n
+        if j < n:
+            raise SchedulingError(
+                f"request {request.rid} is already in the ready queue"
+            )
+        if j != n:
+            self._swap(j, n)
+        self._n = n + 1
+        if self._journal is not None:
+            self._journal.add(request.rid)
+        if self._need_entry and self._ls_missing[n]:
+            self._missing += 1
+        self._refresh_progress(request, n)
+        return n
 
     #: Engines call ``queue.append(...)`` on both list- and array-backed
     #: queues; alias keeps the call sites uniform.
     append = add
 
     def remove(self, request: Request, requeue: bool = False) -> None:
-        """Swap-remove ``request`` from every column in O(1).
+        """Take ``request`` out of the live queue in O(1).
 
         Args:
             requeue: The request is only leaving to run a layer block and
-                will be re-added (multi-accelerator engines); its aux state
-                is stashed and restored by the next :meth:`add`.
+                will be re-added (multi-accelerator engines): its row is
+                parked past the live ones, to be un-parked by the next
+                :meth:`add` or dropped by :meth:`forget`.  Otherwise the
+                row is dropped now.
         """
-        i = self._pos.get(request.rid)
-        if i is None or self._requests[i] is not request:
-            raise SchedulingError(
-                f"request {request.rid} is not in the ready queue"
-            )
-        del self._pos[request.rid]
+        rid = request.rid
+        i = self._pos.get(rid)
+        n = self._n
+        if i is None or i >= n or self._requests[i] is not request:
+            raise SchedulingError(f"request {rid} is not in the ready queue")
         if self._journal is not None:
-            # A permanent removal needs no mark (dead rids are skipped by
-            # liveness checks); a requeue re-add re-marks on the way back in.
-            self._journal.discard(request.rid)
-        last = self._n - 1
-        if requeue:
-            self._stash[request.rid] = (
-                tuple(ls[i] for ls in self._ls_cols),
-                tuple(
-                    col.ls[i] if not col.dirty else float(col.arr[i])
-                    for col in self._aux.values()
-                ),
-                self._ls_missing[i] if self._need_entry else False,
-            )
-        reqs = self._requests
-        if i != last:
-            moved = reqs[last]
-            reqs[i] = moved
-            self._pos[moved.rid] = i
-            self.np_rid[i] = self.np_rid[last]
-            self.ls_rid[i] = self.ls_rid[last]
-            for np_name, ls_name in self._col_attrs:
-                arr = getattr(self, np_name)
-                arr[i] = arr[last]
-                ls = getattr(self, ls_name)
-                ls[i] = ls[last]
-            for col in self._aux.values():
-                col.arr[i] = col.arr[last]
-                if not col.dirty:
-                    col.ls[i] = col.ls[last]
-        reqs.pop()
-        self.ls_rid.pop()
-        for _, ls_name in self._col_attrs:
-            getattr(self, ls_name).pop()
-        for col in self._aux.values():
-            col.ls.pop()
-        if self._need_entry:
-            if i != last:
-                removed_missing = self._ls_missing[i]
-                self._ls_missing[i] = self._ls_missing[last]
-            else:
-                removed_missing = self._ls_missing[i]
-            self._ls_missing.pop()
-            if removed_missing:
-                self._missing -= 1
+            # A dropped row needs no mark (dead rids are skipped by
+            # liveness checks); an un-park re-marks on the way back in.
+            self._journal.discard(rid)
+        if self._need_entry and self._ls_missing[i]:
+            self._missing -= 1
+        last = n - 1
         self._n = last
+        if requeue:
+            if i != last:
+                self._swap(i, last)
+            return
+        del self._pos[rid]
+        if i != last:
+            self._move(last, i)
+        tail = len(self._requests) - 1
+        if tail != last:
+            self._move(tail, last)
+        self._pop_row()
 
     def _update_progress_lre_only(self, request: Request) -> None:
         """update_progress specialization when only last_run_end is live."""
         i = self._pos.get(request.rid)
-        if i is not None:
+        if i is not None and i < self._n:
             v = request.last_run_end
             self.np_last_run_end[i] = v
             self.ls_last_run_end[i] = v
@@ -463,18 +524,22 @@ class ReadyQueue(Sequence):
                 self._journal.add(request.rid)
 
     def update_progress(self, request: Request) -> None:
-        """Refresh the row of an in-queue request after a layer advance.
+        """Refresh the row of a live request after a layer advance.
 
         The engine has already mutated ``next_layer`` / ``executed_time`` /
         ``last_run_end``; this folds the new values into the columns in O(1)
-        (the multi-accelerator engines instead remove/re-add, which refreshes
-        everything).
+        (the multi-accelerator engines instead park the row at dispatch and
+        un-park it, refreshed, at the block end).  No-op for parked rows.
         """
         i = self._pos.get(request.rid)
-        if i is None:
+        if i is None or i >= self._n:
             return
         if self._journal is not None:
             self._journal.add(request.rid)
+        self._refresh_progress(request, i)
+
+    def _refresh_progress(self, request: Request, i: int) -> None:
+        """Write ``request``'s progress-dependent columns into row ``i``."""
         if self._up_lre:
             v = request.last_run_end
             self.np_last_run_end[i] = v

@@ -1,7 +1,7 @@
 """Incremental selection cache: stop re-scoring the whole queue per event.
 
 Between two consecutive scheduler invocations only O(1) ready-queue rows
-change — one arrival, one requeued winner, one monitor refresh — yet the
+change — one arrival, one un-parked winner, one monitor refresh — yet the
 batch path re-scored every row on every ``select_batch``.  At 100k streamed
 requests that is ~4.25M full-queue scans over queues thousands deep, and
 ``repro perf --profile`` attributed ~62% of cluster wall time to it.
@@ -103,15 +103,17 @@ class SelectionCache:
             and sched.inc_guard() == self.guard
         ):
             pos = queue._pos
+            n = queue._n
             idxs: List[int] = []
             for rid in self.ladder:
                 j = pos.get(rid)
-                if j is not None:
+                # Rows at n and beyond are parked: running, not selectable.
+                if j is not None and j < n:
                     idxs.append(j)
             if journal:
                 lset = self.ladder_set
-                # Journalled rids are always live: permanent removals are
-                # discarded from the journal at remove() time.
+                # Journalled rids are always live: remove() discards the
+                # rid from the journal when it drops or parks the row.
                 idxs.extend(pos[rid] for rid in journal if rid not in lset)
             if idxs:
                 # clear_at = B - decay*dt: every row whose penalty-free
@@ -125,7 +127,6 @@ class SelectionCache:
                 limit = clear_at - self.margin
                 ps = self.pen_scale
                 if ps:
-                    n = queue._n
                     n0 = self.n_scan
                     if n > n0:
                         limit -= ps * (1.0 - n0 / n)
@@ -154,7 +155,7 @@ class SelectionCache:
             self.bound = float(primary[int(part[k])])
             self.pen_scale = pen_scale
         else:
-            self.ladder = list(queue.ls_rid)
+            self.ladder = queue.ls_rid[:n]
             self.bound = float("inf")
             self.pen_scale = 0.0
         self.ladder_set = frozenset(self.ladder)

@@ -6,6 +6,9 @@ always-admit controller must reproduce the single-NPU engine step for step
 engine is a strict generalization rather than a second simulator.
 """
 
+import inspect
+import typing
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core.lut import ModelInfoLUT
 from repro.errors import SchedulingError
-from repro.schedulers.base import make_scheduler
+from repro.schedulers.base import Scheduler, make_scheduler
 from repro.sim.engine import simulate
 from repro.sim.workload import WorkloadSpec, generate_workload, iter_workload
 from repro.cluster import (
@@ -56,6 +59,16 @@ class TestValidation:
                  Pool("a", make_scheduler("fcfs", toy_lut))]
         with pytest.raises(SchedulingError, match="unique"):
             simulate_cluster([short(0, 0.0)], pools)
+
+    def test_pool_method_type_hints_resolve(self):
+        # Annotations are strings (postponed evaluation), so a name the
+        # module forgot to import only fails when something resolves them.
+        # ``Scheduler`` is imported for type checking only (circular import).
+        methods = [fn for name, fn in inspect.getmembers(Pool, inspect.isfunction)
+                   if not name.startswith("_") or name == "__init__"]
+        assert len(methods) > 10
+        for fn in methods:
+            typing.get_type_hints(fn, localns={"Scheduler": Scheduler})
 
     def test_pool_knob_validation(self, toy_lut):
         sched = make_scheduler("fcfs", toy_lut)

@@ -1,20 +1,25 @@
 """Seeded randomized lockstep parity for the incremental selection layer.
 
 Two instances of the same policy are driven through one randomized
-arrival / run-a-block / remove / requeue op sequence on two separate ready
-queues.  One instance keeps the selection cache (``incremental=True`` with
-``inc_min_queue=0`` so the cache engages at any depth); the other disables
-it (``incremental=False``), which is the brute-force full re-scan batch
-path.  After every op the harness probes ``select_batch`` on both and
+arrival / start-block / finish-block / drop / return op sequence on two
+separate ready queues.  One instance keeps the selection cache
+(``incremental=True`` with ``inc_min_queue=0`` so the cache engages at any
+depth); the other disables it (``incremental=False``), which is the
+brute-force full re-scan batch path.  After every op the harness probes ``select_batch`` on both and
 asserts the selected rid matches — the cache must be decision-invisible at
 every step, not just on engine-shaped workloads.
 
 The op mix deliberately includes the queue motions the caches must survive:
 
 * ``arrive``  — admit the next workload request (journal add),
-* ``run``     — select, remove with a requeue ticket, execute one layer
-  block, then re-admit (or complete) — the multi-accelerator dispatch shape,
-* ``drop``    — remove a random resident request outright (cluster
+* ``start``   — select and park the winner (``remove(requeue=True)``) to
+  run one layer block — the multi-accelerator dispatch shape; up to
+  ``MAX_IN_FLIGHT`` requests run at once, so the cache answers lookups
+  while parked rows sit past the live ones (including a ladder rebuilt
+  from a queue no deeper than ``inc_ladder_k``),
+* ``finish``  — end a random in-flight block: un-park the request (or
+  drop its parked row when it completed),
+* ``drop``    — remove a random live request outright (cluster
   rebalance / migration out),
 * ``return``  — re-admit a previously dropped request (migration in).
 """
@@ -43,6 +48,9 @@ INCREMENTAL = (
 #: them too so the opt-out path is exercised by the same sequences.
 OPTED_OUT = ("prema", "sdrm3")
 
+#: Accelerators per lane: the most requests parked at once.
+MAX_IN_FLIGHT = 3
+
 
 class Lane:
     """One scheduler + ready-queue pair fed the shared op sequence."""
@@ -56,30 +64,38 @@ class Lane:
         self.queue = ReadyQueue(lut, columns=self.sched.batch_columns)
         self.sched.bind_queue(self.queue)
         self.limbo = []  # dropped requests awaiting re-admission
+        self.in_flight = []  # (request, block end) of parked requests
 
     def arrive(self, request, now):
         self.queue.add(request)
         self.sched.on_arrival(request, now)
 
-    def run_block(self, chosen, now):
-        """Execute one layer of ``chosen`` the way the multi-NPU engines do:
-        remove with a requeue ticket, advance, re-admit or complete."""
+    def start_block(self, chosen, now):
+        """Dispatch one layer of ``chosen`` the way the multi-NPU engines
+        do: park its row until the block ends."""
         self.queue.remove(chosen, requeue=True)
+        end = now + chosen.layer_latencies[chosen.next_layer]
+        self.in_flight.append((chosen, end))
+        return end
+
+    def finish_block(self, slot, now):
+        """End in-flight block ``slot`` at ``max(now, its end)``: advance
+        the request, then un-park it or drop its row when it completed."""
+        chosen, end = self.in_flight.pop(slot)
+        now = max(now, end)
         nl = chosen.next_layer
-        dt = chosen.layer_latencies[nl]
-        end = now + dt
         chosen.next_layer = nl + 1
-        chosen.executed_time += dt
-        chosen.last_run_end = end
+        chosen.executed_time += chosen.layer_latencies[nl]
+        chosen.last_run_end = now
         if chosen.is_done:
             self.queue.forget(chosen.rid)
-            self.sched.on_layer_complete(chosen, end)
-            chosen.finish_time = end
-            self.sched.on_complete(chosen, end)
+            self.sched.on_layer_complete(chosen, now)
+            chosen.finish_time = now
+            self.sched.on_complete(chosen, now)
         else:
             self.queue.add(chosen)
-            self.sched.on_layer_complete(chosen, end)
-        return dt
+            self.sched.on_layer_complete(chosen, now)
+        return chosen.rid, now
 
     def drop(self, idx):
         request = self.queue[idx]
@@ -109,13 +125,20 @@ def lockstep(name, lut, traces, seed, n_requests=140, rate=400.0, ops=400):
     now = 0.0
     next_i = 0
     probes = 0
+    parked_probes = 0  # probes answered while rows were parked
+    shallow_parked_probes = 0  # ... from a queue no deeper than the ladder
     for _ in range(ops):
         n = len(lanes[0].queue)
+        n_flight = len(lanes[0].in_flight)
         choices = []
         if next_i < n_requests:
             choices += ["arrive"] * 4
+        if n and n_flight < MAX_IN_FLIGHT:
+            choices += ["start"] * 4
+        if n_flight:
+            choices += ["finish"] * 4
         if n:
-            choices += ["run"] * 4 + ["drop"]
+            choices += ["drop"]
         if lanes[0].limbo:
             choices += ["return"]
         if not choices:
@@ -127,7 +150,7 @@ def lockstep(name, lut, traces, seed, n_requests=140, rate=400.0, ops=400):
             for lane, workload in zip(lanes, workloads):
                 lane.arrive(workload[next_i], now)
             next_i += 1
-        elif op == "run":
+        elif op == "start":
             if n == 1:
                 picks = [lane.queue[0] for lane in lanes]
             else:
@@ -138,10 +161,14 @@ def lockstep(name, lut, traces, seed, n_requests=140, rate=400.0, ops=400):
                 f"{name}: incremental selected r{picks[0].rid}, "
                 f"brute force r{picks[1].rid} at t={now:.6f} depth={n}"
             )
-            dts = [lane.run_block(pick, now)
-                   for lane, pick in zip(lanes, picks)]
-            assert dts[0] == dts[1]
-            now += dts[0]
+            ends = [lane.start_block(pick, now)
+                    for lane, pick in zip(lanes, picks)]
+            assert ends[0] == ends[1]
+        elif op == "finish":
+            slot = rng.randrange(n_flight)
+            done = [lane.finish_block(slot, now) for lane in lanes]
+            assert done[0] == done[1]
+            now = done[0][1]
         elif op == "drop":
             idx = rng.randrange(n)
             rids = [lane.drop(idx) for lane in lanes]
@@ -152,15 +179,21 @@ def lockstep(name, lut, traces, seed, n_requests=140, rate=400.0, ops=400):
 
         # The core invariant: after ANY queue motion the cached selection
         # must match a brute-force full re-scan.
-        if len(lanes[0].queue) >= 2:
+        depth = len(lanes[0].queue)
+        if depth >= 2:
             picks = [lane.sched.select_batch(lane.queue, now)
                      for lane in lanes]
             probes += 1
+            if lanes[0].in_flight:
+                parked_probes += 1
+                if depth <= lanes[0].sched.inc_ladder_k:
+                    shallow_parked_probes += 1
             assert picks[0].rid == picks[1].rid, (
                 f"{name}: post-{op} probe diverged at t={now:.6f}: "
                 f"r{picks[0].rid} vs r{picks[1].rid}"
             )
     assert probes > 50  # the sequence actually exercised selection
+    assert parked_probes > 20 and shallow_parked_probes > 0
     return lanes[0]
 
 
