@@ -11,9 +11,11 @@ the scalar fallback fails the build rather than just getting slower.
 """
 
 import os
+import time
 
 from repro.core.lut import ModelInfoLUT
 from repro.models.registry import build_model
+from repro.obs import Observability
 from repro.profiling.profiler import benchmark_suite, profile_model
 from repro.schedulers.base import make_scheduler
 from repro.sim.engine import simulate
@@ -109,3 +111,34 @@ def bench_perf_engine_deep_queue(benchmark):
     assert len(result.requests) == n
     assert result.num_batch_selects > 0
     assert result.max_queue_length > 32  # deep enough to exercise numpy
+
+
+def bench_perf_disabled_obs_overhead():
+    """A constructed-but-disabled Observability bundle costs nothing.
+
+    Engines collapse it to the ``obs=None`` path, so the two runs must time
+    alike.  Interleaved A/B: each round times both variants back to back
+    (alternating which goes first), and the best of N per variant keeps
+    scheduler noise out of the comparison.
+    """
+    traces = benchmark_suite("attnn", n_samples=N_SAMPLES, seed=0)
+    lut = ModelInfoLUT(traces)
+    spec = WorkloadSpec(60.0, n_requests=N_REQUESTS, slo_multiplier=10.0,
+                        seed=0)
+
+    def timed(obs):
+        requests = generate_workload(traces, spec)
+        scheduler = make_scheduler("dysta", lut)
+        t0 = time.perf_counter()
+        simulate(requests, scheduler, obs=obs)
+        return time.perf_counter() - t0
+
+    timed(None)  # warm-up: the first run pays cold caches
+    best = {"none": float("inf"), "disabled": float("inf")}
+    for i in range(2 * max(ROUNDS, 5)):
+        order = ("none", "disabled") if i % 2 == 0 else ("disabled", "none")
+        for name in order:
+            obs = None if name == "none" else Observability()
+            best[name] = min(best[name], timed(obs))
+    # 2% relative plus a 2 ms absolute floor against timer jitter.
+    assert best["disabled"] <= 1.02 * best["none"] + 0.002, best

@@ -10,8 +10,9 @@ at three granularities:
   over its actual executed time (``executed_time`` already reflects pool
   speed, so a 2x-fast pool halves the static share);
 * **per block** — the increment a pool accrues when one layer block
-  completes, summing to the request total exactly (the conservation
-  invariant the tests pin down);
+  completes, summing to the request total up to float rounding (the
+  conservation invariant the tests pin down at ``rel=1e-9``: the request
+  total is one numpy pairwise sum, the pools add block by block);
 * **per pool / cluster** — busy joules plus *idle* joules: provisioned
   accelerator-seconds that served nothing still draw ``idle_power_w``,
   giving the autoscaler's accelerator-second cost its joule-denominated
@@ -90,8 +91,19 @@ class EnergyAccountant:
         self, request: Request, start_layer: int, n_layers: int, dt: float
     ) -> float:
         """Joules of one executed layer block (layers ``start..start+n-1``
-        taking ``dt`` seconds of accelerator time)."""
+        taking ``dt`` seconds of accelerator time).
+
+        A one-layer block (every block at the default ``block_size=1``)
+        takes the scalar :meth:`LayerEnergyTable.dynamic_at`, bit-identical
+        to the numpy path.  Longer blocks keep numpy: its pairwise reduce
+        sums three or more layers in a different order from a Python fold.
+        """
         table = self.energy_lut.entry(request.key).table
+        if n_layers == 1:
+            return (
+                table.dynamic_at(start_layer, request.layer_sparsities[start_layer])
+                + table.static_power_w * dt
+            )
         dynamic = float(
             table.dynamic(
                 request.layer_sparsities[start_layer:start_layer + n_layers],

@@ -85,6 +85,11 @@ class LayerEnergyTable:
     static energy is ``static_power_w`` times however long the layer actually
     took (so it prices pool speed, preemption stalls and switch overheads
     exactly as the wall clock saw them).
+
+    ``c0_t``/``c1_t``/``k_t`` are tuple mirrors of the three columns, built
+    once; they are plain attributes, not fields, so equality, repr and
+    ``dataclasses.fields`` see only the arrays.  Scalar hot paths index
+    them to skip numpy boxing.
     """
 
     c0: np.ndarray
@@ -114,6 +119,9 @@ class LayerEnergyTable:
         object.__setattr__(self, "c0", c0)
         object.__setattr__(self, "c1", c1)
         object.__setattr__(self, "k", k)
+        object.__setattr__(self, "c0_t", tuple(c0.tolist()))
+        object.__setattr__(self, "c1_t", tuple(c1.tolist()))
+        object.__setattr__(self, "k_t", tuple(k.tolist()))
 
     @property
     def num_layers(self) -> int:
@@ -127,11 +135,16 @@ class LayerEnergyTable:
         return self.c0[start:end] + self.c1[start:end] * density
 
     def dynamic_at(self, j: int, sparsity: float) -> float:
-        """Dynamic joules of layer ``j`` at one observed sparsity (O(1))."""
-        density = (1.0 - sparsity) * self.k[j]
+        """Dynamic joules of layer ``j`` at one observed sparsity (O(1)).
+
+        Plain-float arithmetic, bit-identical to ``dynamic([s], start=j)[0]``:
+        ``-``, ``*`` and ``+`` are correctly rounded in numpy ufuncs and
+        Python floats alike, and the clamp picks the same value.
+        """
+        density = (1.0 - sparsity) * self.k_t[j]
         if density > 1.0:
             density = 1.0
-        return float(self.c0[j] + self.c1[j] * density)
+        return self.c0_t[j] + self.c1_t[j] * density
 
     def total(self, sparsities, latencies) -> np.ndarray:
         """Per-layer joules including static energy over ``latencies``."""

@@ -9,6 +9,8 @@ The two load-bearing invariants the subsystem promises:
   no schedule for any existing policy, bit for bit.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,8 @@ from repro.energy import (
     synthetic_table,
 )
 from repro.errors import ProfilingError, SchedulingError, SparsityError
+from repro.faults import FaultEvent, FaultSpec
+from repro.faults.spec import KIND_OUTAGE
 from repro.models.registry import build_model
 from repro.profiling.profiler import DEFAULT_CNN_PATTERNS, benchmark_suite
 from repro.schedulers.base import make_scheduler
@@ -39,6 +43,13 @@ from conftest import make_request
 @pytest.fixture(scope="module")
 def attnn_world():
     traces = benchmark_suite("attnn", n_samples=40, seed=0)
+    lut = ModelInfoLUT(traces)
+    return traces, lut, EnergyLUT.from_model_lut(lut)
+
+
+@pytest.fixture(scope="module")
+def cnn_world():
+    traces = benchmark_suite("cnn", n_samples=20, seed=0)
     lut = ModelInfoLUT(traces)
     return traces, lut, EnergyLUT.from_model_lut(lut)
 
@@ -87,13 +98,29 @@ class TestLayerEnergyTable:
         assert sparse.sum() < dense.sum()
         assert (sparse > 0).all()  # skip cost + DRAM keep energy positive
 
-    def test_dynamic_at_matches_vector_path(self):
-        model = build_model("bert")
-        table = SangerEnergy().layer_table(model, DENSE)
-        s = np.linspace(0.1, 0.9, model.num_layers)
-        vector = table.dynamic(s)
-        for j in range(model.num_layers):
-            assert table.dynamic_at(j, float(s[j])) == pytest.approx(vector[j])
+    def test_dynamic_at_matches_vector_path(self, attnn_world, cnn_world):
+        # The scalar path must equal the numpy formula bit for bit, on
+        # every table of both zoos, at 0, 1 and where the clamp binds.
+        grid = np.concatenate([np.linspace(0.0, 1.0, 41),
+                               [1e-9, 1e-3, 0.03, 0.97, 1.0 - 1e-12]]).tolist()
+        clamped = 0
+        for _, _, energy_lut in (attnn_world, cnn_world):
+            for key in energy_lut.keys:
+                table = energy_lut.entry(key).table
+                for j in range(table.num_layers):
+                    for s in grid:
+                        clamped += (1.0 - s) * table.k_t[j] > 1.0
+                        assert table.dynamic_at(j, s) == \
+                            float(table.dynamic([s], start=j)[0]), (key, j, s)
+        assert clamped > 0  # CNN overlap gain makes k > 1
+
+    def test_column_mirrors_leave_eq_and_repr_alone(self):
+        table = SangerEnergy().layer_table(build_model("bert"), DENSE)
+        assert table.c0_t == tuple(table.c0.tolist())
+        assert table.c1_t == tuple(table.c1.tolist())
+        assert table.k_t == tuple(table.k.tolist())
+        assert "c0_t" not in repr(table)
+        assert "k_t" not in {f.name for f in dataclasses.fields(table)}
 
     def test_validation(self):
         with pytest.raises(ProfilingError):
@@ -198,7 +225,8 @@ class TestWeightLoadCounting:
 
 class TestAccounting:
     def _cluster_run(self, traces, lut, accountant, *, speed=1.0,
-                     block_size=1, switch_cost=0.0, scheduler="dysta"):
+                     block_size=1, switch_cost=0.0, scheduler="dysta",
+                     faults=None):
         spec = WorkloadSpec(arrival_rate=40.0, n_requests=120,
                             slo_multiplier=10.0, seed=3)
         requests = generate_workload(traces, spec)
@@ -208,7 +236,8 @@ class TestAccounting:
             Pool("b", make_scheduler(scheduler, lut), 1,
                  block_size=block_size, switch_cost=switch_cost),
         ]
-        result = simulate_cluster(requests, pools, "jsq", energy=accountant)
+        result = simulate_cluster(requests, pools, "jsq", energy=accountant,
+                                  faults=faults)
         return requests, pools, result
 
     def test_joule_conservation_requests_vs_pools(self, attnn_world):
@@ -223,6 +252,58 @@ class TestAccounting:
             per_pool = sum(p.joules_busy for p in pools)
             assert per_request == pytest.approx(per_pool, rel=1e-9), kwargs
             assert result.metrics["joules_used"] == pytest.approx(per_pool)
+
+    @pytest.mark.parametrize("world", ("attnn_world", "cnn_world"))
+    def test_block_energy_matches_numpy_reference(self, request, world):
+        traces, _, energy_lut = request.getfixturevalue(world)
+        accountant = EnergyAccountant(energy_lut)
+        spec = WorkloadSpec(arrival_rate=30.0, n_requests=40,
+                            slo_multiplier=10.0, seed=9)
+
+        def reference(req, j, n, dt):
+            table = energy_lut.entry(req.key).table
+            return float(table.dynamic(req.layer_sparsities[j:j + n],
+                                       start=j).sum()) \
+                + table.static_power_w * dt
+
+        for req in generate_workload(traces, spec):
+            for j in range(req.num_layers):
+                dt = req.layer_latencies[j]
+                assert accountant.block_energy(req, j, 1, dt) == \
+                    reference(req, j, 1, dt)
+            for j in range(req.num_layers - 2):  # multi-layer: numpy path
+                dt = sum(req.layer_latencies[j:j + 3])
+                assert accountant.block_energy(req, j, 3, dt) == \
+                    reference(req, j, 3, dt)
+
+    def test_joule_conservation_under_mid_block_fault_kills(self,
+                                                            attnn_world):
+        """An outage kills in-flight blocks: the killed block is charged no
+        joules, and its re-run is charged exactly once."""
+        traces, lut, energy_lut = attnn_world
+        charged = {}
+
+        class CountingAccountant(EnergyAccountant):
+            def block_energy(self, request, start_layer, n_layers, dt):
+                for j in range(start_layer, start_layer + n_layers):
+                    charged[request.rid, j] = charged.get((request.rid, j), 0) + 1
+                return super().block_energy(request, start_layer, n_layers, dt)
+
+        # Both of pool a's accelerators fail at t=1.0, mid-way through the
+        # 3 s arrival stream, so blocks are in flight when they go down.
+        faults = FaultSpec((
+            FaultEvent(KIND_OUTAGE, 1.0, duration=0.25, pool="a", count=2),
+        ))
+        accountant = CountingAccountant(energy_lut)
+        requests, pools, result = self._cluster_run(
+            traces, lut, accountant, faults=faults)
+        assert sum(p.fault_kills for p in pools) > 0
+        assert result.num_completed == len(requests)
+        assert charged == {(r.rid, j): 1 for r in requests
+                           for j in range(r.num_layers)}
+        per_request = sum(accountant.request_energy(r) for r in requests)
+        per_pool = sum(p.joules_busy for p in pools)
+        assert per_request == pytest.approx(per_pool, rel=1e-9)
 
     def test_joules_provisioned_is_used_plus_idle(self, attnn_world):
         traces, lut, energy_lut = attnn_world

@@ -16,7 +16,6 @@ worker counts.
 
 import json
 import math
-import time
 
 import pytest
 
@@ -421,26 +420,15 @@ class TestGoldenParity:
         assert traced.metrics == base.metrics
         obs.bus.check_conservation()
 
-    def test_disabled_bundle_overhead_under_two_percent(self):
-        # A fully-disabled bundle must collapse to the obs=None path: one
-        # Observability.active() call, then zero per-event cost.  Best-of-N
-        # wall-clock keeps scheduler noise out of the comparison.
-        traces, lut, spec = toy_world(rate=150.0, n_requests=300)
-
-        def run(obs):
-            best = float("inf")
-            for _ in range(5):
-                reqs = generate_workload(traces, spec)
-                sched = make_scheduler("dysta", lut)
-                t0 = time.perf_counter()
-                simulate(reqs, sched, obs=obs)
-                best = min(best, time.perf_counter() - t0)
-            return best
-
-        t_none = run(None)
-        t_disabled = run(Observability())
-        # 2% relative plus a 2 ms absolute floor against timer jitter.
-        assert t_disabled <= 1.02 * t_none + 0.002, (t_none, t_disabled)
+    def test_disabled_bundle_collapses_to_none_path(self):
+        # A fully-disabled bundle takes the exact obs=None code path: the
+        # engines call Observability.active() once and see None.  The
+        # wall-clock overhead bound on top of this lives in
+        # benchmarks/bench_perf_engine.py (interleaved A/B, best of N).
+        assert Observability.active(Observability()) is None
+        assert Observability.active(None) is None
+        obs = Observability(trace=True)
+        assert Observability.active(obs) is obs
 
 
 class TestSpanSemantics:
