@@ -149,40 +149,67 @@ def aggregate(wh: Warehouse, *, group_by: Sequence[str] = ("scenario", "schedule
     """Per-group streaming statistics over the matching rows.
 
     Returns ``{group_tuple: {metric: {n, mean, std, min, max}}}`` with
-    groups in sorted order.  Non-numeric metric values and rows missing
-    the metric fold as absent (NaN-skipped), so mixed engine grids
-    aggregate cleanly.
+    groups in sorted order.  Group tuples hold Python scalars; rows
+    missing a group-by column share one group with ``None`` in that
+    position, which sorts first.  Non-numeric metric values and rows
+    missing the metric fold as absent (NaN-skipped), so mixed engine
+    grids aggregate cleanly.
     """
     accs: Dict[Tuple, Dict[str, _Acc]] = {}
+    seen = set()
     for batch in scan(wh, columns=tuple(group_by) + tuple(metrics),
                       where=where):
         n = len(batch[KEY_COLUMN])
-        group_cols = []
-        for name in group_by:
-            if name not in batch:
-                raise WarehouseError(f"unknown group-by column {name!r}")
-            group_cols.append(_as_array(batch[name]))
-        row_groups = [tuple(col[i] for col in group_cols) for i in range(n)]
-        for group in set(row_groups):
-            rows = np.asarray([g == group for g in row_groups], dtype=bool)
+        seen.update(name for name in group_by if name in batch)
+        group_cols = [_group_values(batch.get(name), n) for name in group_by]
+        # Number the batch's groups in first-seen order, then split one
+        # stable argsort so each group gets its ascending row indices —
+        # the same elements, in the same order, as a per-group mask.
+        ids: Dict[Tuple, int] = {}
+        groups = zip(*group_cols) if group_cols else [()] * n
+        gid = np.fromiter((ids.setdefault(group, len(ids)) for group in groups),
+                          dtype=np.intp, count=n)
+        order = np.argsort(gid, kind="stable")
+        starts = np.flatnonzero(np.diff(gid[order])) + 1
+        columns = [(metric, _metric_values(batch[metric]))
+                   for metric in metrics if metric in batch]
+        for group, rows in zip(ids, np.split(order, starts)):
             target = accs.setdefault(group, {m: _Acc() for m in metrics})
-            for metric in metrics:
-                if metric not in batch:
-                    continue
-                values = batch[metric]
-                if not isinstance(values, np.ndarray) \
-                        or values.dtype.kind not in "if":
-                    try:
-                        values = np.asarray(
-                            [math.nan if v is None else float(v)
-                             for v in values], dtype=np.float64)
-                    except (TypeError, ValueError):
-                        continue
-                target[metric].fold(np.asarray(values)[rows])
+            for metric, values in columns:
+                if values is not None:
+                    target[metric].fold(values[rows])
+    for name in group_by:
+        if accs and name not in seen:
+            raise WarehouseError(f"unknown group-by column {name!r}")
     return {
         group: {metric: acc.stats() for metric, acc in sorted(group_accs.items())}
-        for group, group_accs in sorted(accs.items())
+        for group, group_accs in sorted(accs.items(), key=_group_order)
     }
+
+
+def _group_values(values, n: int) -> List:
+    """One group-by column as Python scalars, ``None`` where missing."""
+    if values is None:
+        return [None] * n
+    if values.dtype.kind == "f":
+        return [None if v != v else v for v in values.tolist()]
+    return values.tolist()
+
+
+def _metric_values(values) -> Optional[np.ndarray]:
+    """A metric column as float64 (NaN = absent); ``None`` if non-numeric."""
+    if values.dtype.kind in "if":
+        return values
+    try:
+        return np.asarray([math.nan if v is None else float(v)
+                           for v in values], dtype=np.float64)
+    except (TypeError, ValueError):
+        return None
+
+
+def _group_order(item) -> Tuple:
+    """Sort key for ``(group, accs)`` items: ``None`` before any value."""
+    return tuple((0,) if v is None else (1, v) for v in item[0])
 
 
 def group_key(group: Iterable) -> str:

@@ -98,6 +98,12 @@ def segment_name(index: int) -> str:
 # Columnar segment encoding
 
 
+#: Stands in for an absent field while a column is gathered.  ``None``
+#: cannot: an explicit ``None`` value still encodes as a JSON null.
+_ABSENT = object()
+_INT_FLOAT = frozenset((int, float))
+
+
 def encode_segment(rows: List[Tuple[str, Dict]]) -> bytes:
     """Encode ``(key, cell)`` rows as one immutable columnar segment.
 
@@ -115,32 +121,41 @@ def encode_segment(rows: List[Tuple[str, Dict]]) -> bytes:
     columns = []
     payloads = []
     for name, values, missing in _iter_columns(names, rows):
-        present = [v for i, v in enumerate(values) if i not in missing]
+        present = [v for v in values if v is not _ABSENT] if missing else values
+        types = set(map(type, present))
+        if types and types <= _INT_FLOAT:
+            numeric, all_int = True, float not in types
+        else:
+            # numpy scalars, bools and subclasses take the isinstance rules.
+            numeric = bool(present) and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                for v in present
+            )
+            all_int = numeric and all(isinstance(v, int) for v in present)
         entry: Dict = {"name": name}
-        numeric = present and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in present
-        )
-        all_int = numeric and all(isinstance(v, int) for v in present)
         if all_int and not missing:
             entry["kind"] = "i8"
             payload = np.asarray(values, dtype="<i8").tobytes()
         elif numeric and not all_int:
             entry["kind"] = "f8"
-            filled = [np.nan if i in missing else float(v)
-                      for i, v in enumerate(values)]
+            if missing:
+                filled = [np.nan if v is _ABSENT else float(v) for v in values]
+            elif types == {float}:
+                filled = values
+            else:
+                filled = [float(v) for v in values]
             payload = np.asarray(filled, dtype="<f8").tobytes()
         else:
             # json carries strings/nested values — and int columns with
             # gaps: a numeric payload has no int-preserving hole marker,
             # so it would come back float and re-encode to different bytes.
             entry["kind"] = "json"
-            filled = [None if i in missing else v
-                      for i, v in enumerate(values)]
-            payload = _canon(filled).encode()
+            if missing:
+                values = [None if v is _ABSENT else v for v in values]
+            payload = _canon(values).encode()
         entry["nbytes"] = len(payload)
         if missing:
-            entry["missing"] = sorted(missing)
+            entry["missing"] = missing
         columns.append(entry)
         payloads.append(payload)
     header = _canon({
@@ -153,11 +168,16 @@ def encode_segment(rows: List[Tuple[str, Dict]]) -> bytes:
 
 
 def _iter_columns(names, rows):
-    """Yield ``(name, values, missing_row_indices)`` — key column first."""
-    yield KEY_COLUMN, [key for key, _ in rows], set()
+    """Yield ``(name, values, missing_row_indices)`` — key column first.
+
+    Absent fields read as :data:`_ABSENT` in ``values``; the missing
+    indices come out ascending.
+    """
+    yield KEY_COLUMN, [key for key, _ in rows], []
+    cells = [cell for _, cell in rows]
     for name in names:
-        values = [cell.get(name) for _, cell in rows]
-        missing = {i for i, (_, cell) in enumerate(rows) if name not in cell}
+        values = [cell.get(name, _ABSENT) for cell in cells]
+        missing = [i for i, v in enumerate(values) if v is _ABSENT]
         yield name, values, missing
 
 
@@ -207,19 +227,19 @@ def decode_segment(data: bytes,
 
 def rows_from_columns(batch: Dict[str, object]) -> Iterator[Tuple[str, Dict]]:
     """Invert a decoded batch back into ``(key, cell)`` rows."""
-    keys = batch[KEY_COLUMN]
-    names = [name for name in batch if name != KEY_COLUMN]
-    for i, key in enumerate(keys):
+    # Numeric columns are read as Python scalars with NaN holes (``v != v``);
+    # json columns keep their values with ``None`` holes.
+    columns = [
+        (name, values.tolist(), True) if isinstance(values, np.ndarray)
+        else (name, values, False)
+        for name, values in batch.items() if name != KEY_COLUMN
+    ]
+    for i, key in enumerate(batch[KEY_COLUMN]):
         cell = {}
-        for name in names:
-            values = batch[name]
+        for name, values, numeric in columns:
             value = values[i]
-            if isinstance(values, np.ndarray):
-                if np.isnan(value):
-                    continue  # missing numeric cell
-                value = int(value) if values.dtype.kind == "i" else float(value)
-            elif value is None:
-                continue  # missing json cell
+            if value != value if numeric else value is None:
+                continue  # missing cell
             cell[name] = value
         yield key, cell
 
@@ -547,26 +567,32 @@ class Warehouse:
         point the store's recoverable state holds every row — a crash
         mid-compact resumes to either the old or the compacted layout.
         """
-        rows = list(self.iter_cells())
         if segment_rows is not None:
             if segment_rows < 1:
                 raise WarehouseError(
                     f"segment_rows must be >= 1, got {segment_rows}")
             self._manifest["segment_rows"] = int(segment_rows)
         chunk = self.segment_rows
-        before = len(self._manifest["segments"])
-        # Longest prefix of sealed segments already in final form; only
-        # the suffix is rewritten, which also makes the aligned case a
+        segments = self._manifest["segments"]
+        before = len(segments)
+        # Longest prefix of sealed segments already in final form — full
+        # size, in place, and canonical (its rows re-encode to the listed
+        # CRC), checked one segment at a time.  Only the suffix is decoded
+        # to rows and rewritten, which also makes the aligned case a
         # byte-for-byte no-op.
         keep = 0
-        for index, entry in enumerate(self._manifest["segments"]):
+        for index, entry in enumerate(segments):
             if entry["rows"] != chunk or entry["name"] != segment_name(index):
                 break
-            data = encode_segment(rows[index * chunk:(index + 1) * chunk])
-            if entry["crc32"] != _crc(data):
+            data = self._read_segment(entry)
+            rows = list(rows_from_columns(decode_segment(data)))
+            if entry["crc32"] != _crc(encode_segment(rows)):
                 break
             keep += 1
-        spill = rows[keep * chunk:]
+        spill = [row for entry in segments[keep:]
+                 for row in rows_from_columns(
+                     decode_segment(self._read_segment(entry)))]
+        spill += self._tail
         self._rewrite_journal(spill)
         self._manifest["segments"] = self._manifest["segments"][:keep]
         self._write_manifest()
@@ -578,11 +604,14 @@ class Warehouse:
         for path in sorted(seg_dir.iterdir()):
             if path.name not in listed:
                 path.unlink()
-        return {"rows": len(rows), "segments_before": before,
+        return {"rows": keep * chunk + len(spill), "segments_before": before,
                 "segments_after": len(self._manifest["segments"]),
                 "tail_rows": len(self._tail)}
 
     # -- reads ---------------------------------------------------------------
+
+    def _read_segment(self, entry: Dict) -> bytes:
+        return (self.root / SEGMENT_DIR / entry["name"]).read_bytes()
 
     def iter_batches(self, columns: Optional[Iterable[str]] = None
                      ) -> Iterator[Dict[str, object]]:
@@ -592,17 +621,15 @@ class Warehouse:
         filters and aggregations stream segment by segment.
         """
         for entry in self._manifest["segments"]:
-            data = (self.root / SEGMENT_DIR / entry["name"]).read_bytes()
-            yield decode_segment(data, columns=columns)
+            yield decode_segment(self._read_segment(entry), columns=columns)
         if self._tail:
             yield decode_segment(encode_segment(self._tail), columns=columns)
 
     def iter_cells(self) -> Iterator[Tuple[str, Dict]]:
         """Yield ``(key, cell)`` rows in append order."""
         for entry in self._manifest["segments"]:
-            data = (self.root / SEGMENT_DIR / entry["name"]).read_bytes()
-            for row in rows_from_columns(decode_segment(data)):
-                yield row
+            yield from rows_from_columns(
+                decode_segment(self._read_segment(entry)))
         for key, cell in self._tail:
             yield key, dict(cell)
 

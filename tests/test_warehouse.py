@@ -1,7 +1,9 @@
 """Tests for the columnar sweep warehouse.
 
-Covers the segment codec, the append/seal/compact lifecycle, the four
-crash-recovery windows, the streaming query layer, cross-run regression
+Covers the segment codec (byte-for-byte against the original row-at-a-time
+encoder), the append/seal/compact lifecycle, the four crash-recovery
+windows, the streaming query layer (against the original per-group mask
+aggregation), cross-run regression
 detection, live sweep telemetry, the warehouse-backed sweep runner
 (byte-identity across worker counts and interruptions), the legacy-JSON
 import shim and the ``repro warehouse`` / ``repro regress`` CLI.
@@ -9,9 +11,12 @@ import shim and the ``repro warehouse`` / ``repro regress`` CLI.
 
 import json
 import math
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.errors import SchedulingError, WarehouseError
@@ -38,10 +43,12 @@ from repro.warehouse import (
     select,
     write_baseline,
 )
+from repro.warehouse.query import _Acc, _as_array
 from repro.warehouse.store import (
     JOURNAL_NAME,
     MANIFEST_NAME,
     SEGMENT_DIR,
+    SEGMENT_MAGIC,
     frame_journal_line,
     rows_from_columns,
 )
@@ -152,6 +159,140 @@ class TestSegmentCodec:
             decode_segment(b'{"magic":"nope"}\n')
         with pytest.raises(WarehouseError, match="truncated"):
             decode_segment(good[:-3])
+
+
+# ---------------------------------------------------------------------------
+# Codec oracle: the column-at-a-time encoder against the row-at-a-time one
+
+
+def reference_encode_segment(rows):
+    """The original row-at-a-time encoder, kept as the byte-level oracle."""
+    def canon(doc):
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+    names = sorted({name for _, cell in rows for name in cell})
+    gathered = [(KEY_COLUMN, [key for key, _ in rows], set())]
+    for name in names:
+        values = [cell.get(name) for _, cell in rows]
+        missing = {i for i, (_, cell) in enumerate(rows) if name not in cell}
+        gathered.append((name, values, missing))
+    columns = []
+    payloads = []
+    for name, values, missing in gathered:
+        present = [v for i, v in enumerate(values) if i not in missing]
+        entry = {"name": name}
+        numeric = present and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            for v in present
+        )
+        all_int = numeric and all(isinstance(v, int) for v in present)
+        if all_int and not missing:
+            entry["kind"] = "i8"
+            payload = np.asarray(values, dtype="<i8").tobytes()
+        elif numeric and not all_int:
+            entry["kind"] = "f8"
+            filled = [np.nan if i in missing else float(v)
+                      for i, v in enumerate(values)]
+            payload = np.asarray(filled, dtype="<f8").tobytes()
+        else:
+            entry["kind"] = "json"
+            filled = [None if i in missing else v
+                      for i, v in enumerate(values)]
+            payload = canon(filled).encode()
+        entry["nbytes"] = len(payload)
+        if missing:
+            entry["missing"] = sorted(missing)
+        columns.append(entry)
+        payloads.append(payload)
+    header = canon({"columns": columns, "magic": SEGMENT_MAGIC,
+                    "rows": len(rows), "version": 1})
+    return header.encode() + b"\n" + b"".join(payloads)
+
+
+_INTS = st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1)
+_FLOATS = st.floats(allow_nan=True) | st.sampled_from(
+    [-0.0, math.inf, -math.inf, 0.1])
+_BIG_INTS = st.sampled_from([2 ** 53 + 1, 2 ** 60 + 1, -(2 ** 62) - 3])
+_SCALARS = (_INTS | _FLOATS | _BIG_INTS | st.booleans()
+            | st.text(max_size=4) | st.none())
+_NESTED = st.recursive(
+    st.none() | st.booleans() | st.integers(-9, 9) | _FLOATS
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+#: One value strategy per generated column, so the i8/f8 kinds come up
+#: as often as json.
+_COLUMN_VALUES = [
+    _INTS | _BIG_INTS,
+    _FLOATS,
+    _INTS | _FLOATS | _BIG_INTS,
+    st.booleans(),
+    st.text(max_size=4),
+    _SCALARS,
+    _FLOATS.map(np.float64),
+    _FLOATS.map(np.float64) | _INTS,
+    _NESTED,
+    _SCALARS | _NESTED | _FLOATS.map(np.float64),
+]
+
+
+@st.composite
+def segment_rows(draw):
+    """``(key, cell)`` rows with per-column value types and absent fields."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    names = draw(st.lists(st.sampled_from("abcdefg"), unique=True,
+                          max_size=5))
+    rows = [(f"k{i}", {}) for i in range(n)]
+    for name in names:
+        values = draw(st.sampled_from(_COLUMN_VALUES))
+        gappy = draw(st.booleans())
+        for _, cell in rows:
+            if not gappy or draw(st.booleans()):
+                cell[name] = draw(values)
+    return rows
+
+
+def normalized(rows):
+    """Rows as :meth:`Warehouse.append` stores them (None/NaN -> absent)."""
+    return [(key, {name: value for name, value in cell.items()
+                   if value is not None
+                   and not (isinstance(value, float) and math.isnan(value))})
+            for key, cell in rows]
+
+
+class TestCodecOracle:
+    @given(rows=segment_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_match_reference_encoder(self, rows):
+        assert encode_segment(rows) == reference_encode_segment(rows)
+
+    @given(rows=segment_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_normalized_rows_round_trip_to_the_same_bytes(self, rows):
+        data = encode_segment(normalized(rows))
+        decoded = list(rows_from_columns(decode_segment(data)))
+        assert encode_segment(decoded) == data
+
+    def test_edge_values(self):
+        rows = [
+            ("a", {"f": np.float64(1.5), "b": True, "big": 2 ** 60 + 1,
+                   "z": -0.0, "inf": math.inf, "none": None,
+                   "nest": {"x": [1, {"y": None}]}, "mix": 1, "gi": 3}),
+            ("b", {"f": np.float64(-2.0), "b": False, "big": 5, "z": 0.0,
+                   "inf": -math.inf, "none": None, "nest": [],
+                   "mix": 2.5}),
+            ("c", {"big": 2 ** 53 + 1, "mix": 2 ** 60 + 3, "z": 1,
+                   "gi": 4}),
+        ]
+        data = encode_segment(rows)
+        assert data == reference_encode_segment(rows)
+        batch = decode_segment(data)
+        assert batch["none"] == [None, None, None]  # explicit None is null
+        assert batch["gi"] == [3, None, 4]  # gappy int stays json
+        assert batch["f"].dtype.kind == "f"  # np.float64 is a float
+        assert math.copysign(1.0, batch["z"][0]) == -1.0
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +491,45 @@ class TestDeterminism:
             assert wh.segment_rows == 3
             assert wh.read_cells() == {synth_key(i): synth_cell(i)
                                        for i in range(10)}
+
+    def test_compact_rewrites_crc_valid_non_canonical_segment(self, tmp_path):
+        # A segment whose CRC matches the manifest but whose bytes are not
+        # what the encoder writes for its rows (a gap-free int column
+        # stored as json, and a header with spaces) must not be taken as
+        # aligned: compaction re-encodes it to a fresh store's bytes.
+        rows = [(synth_key(i), {"n": i, "scenario": f"s{i % 2}"})
+                for i in range(4)]
+        with Warehouse.create(tmp_path / "fresh", WORKLOAD,
+                              segment_rows=4) as wh:
+            for key, cell in rows:
+                wh.append(key, cell)
+            fresh_fp = wh.fingerprint()
+        root = tmp_path / "doctored"
+        with Warehouse.create(root, WORKLOAD, segment_rows=4) as wh:
+            for key, cell in rows:
+                wh.append(key, cell)
+        payloads = [json.dumps([key for key, _ in rows]).encode(),
+                    json.dumps([cell["n"] for _, cell in rows]).encode(),
+                    json.dumps([cell["scenario"] for _, cell in rows]).encode()]
+        header = {"columns": [{"kind": "json", "name": name,
+                               "nbytes": len(payload)}
+                              for name, payload in zip(
+                                  (KEY_COLUMN, "n", "scenario"), payloads)],
+                  "magic": SEGMENT_MAGIC, "rows": len(rows), "version": 1}
+        data = json.dumps(header).encode() + b"\n" + b"".join(payloads)
+        (root / SEGMENT_DIR / "seg-00000.seg").write_bytes(data)
+        manifest = json.loads((root / MANIFEST_NAME).read_text())
+        manifest["segments"][0]["crc32"] = zlib.crc32(data) & 0xFFFFFFFF
+        (root / MANIFEST_NAME).write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        with Warehouse.open(root) as wh:
+            assert not wh.recovered and all(s["ok"] for s in wh.verify())
+            assert list(wh.iter_cells()) == rows
+            assert wh.fingerprint() != fresh_fp
+            stats = wh.compact()
+            assert stats == {"rows": 4, "segments_before": 1,
+                             "segments_after": 1, "tail_rows": 0}
+            assert wh.fingerprint() == fresh_fp
 
     def test_seal_tail_empty_is_noop(self, tmp_path):
         with Warehouse.create(tmp_path / "wh", WORKLOAD) as wh:
@@ -642,6 +822,133 @@ class TestQuery:
 
     def test_group_key(self):
         assert group_key(("diurnal", "sjf")) == "diurnal/sjf"
+
+
+def reference_aggregate(wh, *, group_by, metrics, where=None):
+    """The original one-mask-per-group aggregation loop (gap-free groups)."""
+    accs = {}
+    for batch in scan(wh, columns=tuple(group_by) + tuple(metrics),
+                      where=where):
+        n = len(batch[KEY_COLUMN])
+        group_cols = [_as_array(batch[name]) for name in group_by]
+        row_groups = [tuple(col[i] for col in group_cols) for i in range(n)]
+        for group in set(row_groups):
+            rows = np.asarray([g == group for g in row_groups], dtype=bool)
+            target = accs.setdefault(group, {m: _Acc() for m in metrics})
+            for metric in metrics:
+                if metric not in batch:
+                    continue
+                values = batch[metric]
+                if not isinstance(values, np.ndarray) \
+                        or values.dtype.kind not in "if":
+                    try:
+                        values = np.asarray(
+                            [math.nan if v is None else float(v)
+                             for v in values], dtype=np.float64)
+                    except (TypeError, ValueError):
+                        continue
+                target[metric].fold(np.asarray(values)[rows])
+    return {
+        group: {metric: acc.stats() for metric, acc in sorted(group_accs.items())}
+        for group, group_accs in sorted(accs.items())
+    }
+
+
+def random_store(root, seed):
+    """A multi-segment store with undersized segments and a journal tail."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(30, 60))
+    with Warehouse.create(root, WORKLOAD,
+                          segment_rows=int(rng.integers(3, 9))) as wh:
+        i = 0
+        while i < n or not wh.tail_rows:
+            cell = {
+                "scenario": f"s{rng.integers(3)}",
+                "scheduler": f"p{rng.integers(2)}",
+                "bucket": int(rng.integers(3)),
+                "stp": float(rng.uniform(0.5, 2.0)),
+                "label": f"cell-{i}",
+            }
+            if rng.random() < 0.6:
+                cell["edp"] = float(rng.normal(5.0, 2.0))
+            if rng.random() < 0.5:
+                cell["retries"] = int(rng.integers(10))  # gappy int -> json
+            if rng.random() < 0.7:
+                # json metric: numbers, numeric strings, and now and then a
+                # word that makes the whole batch non-numeric
+                cell["mixed"] = [float(rng.uniform(0, 9)), "2.5",
+                                 int(rng.integers(5)), "n/a"][
+                    int(rng.integers(4))]
+            wh.append(synth_key(i), cell)
+            if rng.random() < 0.1:
+                wh.seal_tail()
+            i += 1
+    return Warehouse.open(root)
+
+
+class TestAggregateOracle:
+    METRICS = ("stp", "edp", "retries", "mixed", "label", "absent")
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("group_by,where", [
+        (("scenario", "scheduler"), None),
+        (("scheduler",), {"scenario": "s1"}),
+        (("bucket", "scenario"), {"stp": lambda v: v > 1.0}),
+        ((), None),
+    ])
+    def test_matches_per_group_mask_loop(self, tmp_path, seed, group_by,
+                                         where):
+        with random_store(tmp_path / "wh", seed) as wh:
+            assert wh.num_segments > 1
+            got = aggregate(wh, group_by=group_by, metrics=self.METRICS,
+                            where=where)
+            want = reference_aggregate(wh, group_by=group_by,
+                                       metrics=self.METRICS, where=where)
+        assert got == want
+        assert list(got) == list(want)
+
+
+def gappy_store(root, segment_rows=256):
+    """Ten rows; only rows 0, 3, 6 and 9 carry ``faults`` and ``zone``."""
+    with Warehouse.create(root, WORKLOAD, segment_rows=segment_rows) as wh:
+        for i in range(10):
+            cell = {"scheduler": f"p{i % 2}", "stp": float(i)}
+            if i % 3 == 0:
+                cell.update(faults=2.0, zone="east")
+            wh.append(synth_key(i), cell)
+    return Warehouse.open(root)
+
+
+class TestAggregateGappyGroups:
+    def test_numeric_group_column_folds_missing_rows_into_one_group(
+            self, tmp_path):
+        with gappy_store(tmp_path / "wh") as wh:
+            table = aggregate(wh, group_by=("faults",), metrics=("stp",))
+        assert list(table) == [(None,), (2.0,)]
+        assert table[(None,)]["stp"]["n"] == 6
+        assert table[(None,)]["stp"]["mean"] == pytest.approx(
+            (1 + 2 + 4 + 5 + 7 + 8) / 6)
+        assert table[(2.0,)]["stp"]["n"] == 4
+        assert type(list(table)[1][0]) is float  # a Python scalar
+
+    def test_json_group_column_sorts_missing_first(self, tmp_path):
+        with gappy_store(tmp_path / "wh") as wh:
+            table = aggregate(wh, group_by=("scheduler", "zone"),
+                              metrics=("stp",))
+        assert list(table) == [("p0", None), ("p0", "east"),
+                               ("p1", None), ("p1", "east")]
+        assert [stats["stp"]["n"] for stats in table.values()] == [3, 2, 3, 2]
+
+    def test_groups_do_not_depend_on_segment_layout(self, tmp_path):
+        # With two-row segments some segments lack 'zone' altogether; they
+        # still fold into the missing group rather than failing.
+        with gappy_store(tmp_path / "wide") as wide, \
+                gappy_store(tmp_path / "narrow", segment_rows=2) as narrow:
+            assert narrow.num_segments == 5
+            for group_by in (("zone",), ("faults", "scheduler")):
+                assert aggregate(narrow, group_by=group_by,
+                                 metrics=("stp",)) \
+                    == aggregate(wide, group_by=group_by, metrics=("stp",))
 
 
 # ---------------------------------------------------------------------------
