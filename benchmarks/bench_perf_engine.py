@@ -19,6 +19,7 @@ from repro.obs import Observability
 from repro.profiling.profiler import benchmark_suite, profile_model
 from repro.schedulers.base import make_scheduler
 from repro.sim.engine import simulate
+from repro.sim.multi import simulate_multi
 from repro.sim.workload import WorkloadSpec, generate_workload
 from repro.sparsity.patterns import DENSE
 
@@ -76,6 +77,30 @@ def bench_perf_engine_dysta_scalar(benchmark):
     result = benchmark.pedantic(run, setup=setup, rounds=ROUNDS, iterations=1)
     assert len(result.requests) == N_REQUESTS
     assert result.num_batch_selects == 0
+
+
+def bench_perf_engine_multi(benchmark):
+    """Dysta on the multi-NPU engine (4 NPUs, parked-row ready queue)."""
+    traces = benchmark_suite("attnn", n_samples=N_SAMPLES, seed=0)
+    lut = ModelInfoLUT(traces)
+    spec = WorkloadSpec(120.0, n_requests=N_REQUESTS, slo_multiplier=10.0,
+                        seed=0)
+
+    def setup():
+        return (generate_workload(traces, spec), make_scheduler("dysta", lut)), {}
+
+    def run(requests, scheduler):
+        return simulate_multi(requests, scheduler, num_accelerators=4)
+
+    result = benchmark.pedantic(run, setup=setup, rounds=ROUNDS, iterations=1)
+    assert len(result.requests) == N_REQUESTS
+    assert result.num_batch_selects > 0
+    scalar = simulate_multi(generate_workload(traces, spec),
+                            make_scheduler("dysta", lut), num_accelerators=4,
+                            use_batch=False)
+    assert [(r.rid, r.finish_time) for r in result.requests] == [
+        (r.rid, r.finish_time) for r in scalar.requests
+    ]
 
 
 def bench_perf_engine_fcfs(benchmark):

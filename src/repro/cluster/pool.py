@@ -521,8 +521,9 @@ class Pool:
         queue = self.queue
         batch_on = self._batch
         tracer = self._tracer
-        while self.idle and queue:
-            npu = heapq.heappop(self.idle)
+        idle = self.idle
+        while idle and queue:
+            npu = heapq.heappop(idle)
             nq = len(queue)
             if prof is not None:
                 t1 = perf_counter()
@@ -537,19 +538,27 @@ class Pool:
             if prof is not None:
                 t2 = perf_counter()
                 sel_s += t2 - t1
+            # Park the winner before any bookkeeping: the parked-row remove
+            # is the membership check, and a selection outside the live
+            # queue must leave the request untouched.
+            if batch_on:
+                try:
+                    queue.remove(chosen, True)  # requeue=True
+                except SchedulingError:
+                    raise SchedulingError(self._outside_msg()) from None
+            elif chosen in queue:
+                queue.remove(chosen)
+            else:
+                raise SchedulingError(self._outside_msg())
             self.invocations += 1
             if nq > self.max_queue_length:
                 self.max_queue_length = nq
-            if chosen not in queue:
-                raise SchedulingError(
-                    f"scheduler {scheduler.name!r} (pool {self.name!r}) "
-                    "selected a request outside the queue"
-                )
             if tracer is not None:
                 tracer.emit(KIND_SELECT, now, pool=self.name, npu=npu,
                             rid=chosen.rid, args={"depth": nq})
             previous = self._last_on_npu[npu]
-            if previous is not None and chosen is not previous and not previous.is_done:
+            if (previous is not None and chosen is not previous
+                    and previous.next_layer < previous._num_layers):
                 self.preemptions += 1
             self._last_on_npu[npu] = chosen
             if chosen.first_dispatch_time is None:
@@ -580,10 +589,6 @@ class Pool:
                     self._resident_key[npu] = chosen.key
                     if self._energy is not None:
                         self.joules_busy += self._energy.switch_energy(chosen.key)
-            if batch_on:
-                queue.remove(chosen, requeue=True)
-            else:
-                queue.remove(chosen)
             nl = chosen.next_layer
             layers = min(self.block_size, chosen.num_layers - nl)
             speed = self.service_speed(chosen)
@@ -623,6 +628,10 @@ class Pool:
                 self._p_select_c += iters
                 self._p_heap_s += heap_s
                 self._p_heap_c += iters
+
+    def _outside_msg(self) -> str:
+        return (f"scheduler {self.scheduler.name!r} (pool {self.name!r}) "
+                "selected a request outside the queue")
 
     def complete_block(self, now: float, npu: int, request: Request,
                        layers: int, dt: float,

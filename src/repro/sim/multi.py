@@ -6,26 +6,28 @@ data-center scenario (Table 3) where multiple NPUs sit behind one request
 stream.  Scheduling semantics are unchanged — whenever an accelerator
 finishes a layer block, the scheduler picks the next request for it from the
 ready queue (layer-granularity preemption, paper Sec 4.2.2) — so every
-policy from the registry works unmodified.
+policy from the registry works unmodified.  Each NPU tracks whose weights
+are resident and pays ``switch_cost`` when it switches to another request.
 
-With ``num_accelerators=1`` the simulation is step-for-step identical to
-:func:`repro.sim.engine.simulate` (tested), because the single-NPU engine
-also re-queues the running request at every layer boundary.  The engine's
-``switch_cost`` and ``block_size`` knobs are supported with the same
-semantics: each NPU tracks which model instance's weights are resident and
-pays the reload cost when it switches to a different request.
+With ``num_accelerators=1`` and ``block_size=1`` the schedule is
+bit-identical to :func:`repro.sim.engine.simulate` for every registered
+policy, with or without ``switch_cost`` (tested).  Larger blocks may differ
+in the last float bits: this engine advances the clock by a block's
+pre-summed latency, the single-NPU engine layer by layer.
 
-Like the single-NPU engine, converted schedulers run on the vectorized
-path: the shared queue is a :class:`~repro.sim.ready_queue.ReadyQueue`, a
-running request's row is parked past the live queue, aux state and all,
-and un-parked when its block ends, and selections dispatch to ``select_single`` /
-``select_batch``.  ``use_batch=False`` forces the scalar reference path.
+Converted schedulers run on the vectorized path: the shared queue is a
+:class:`~repro.sim.ready_queue.ReadyQueue`, a running request's row is
+parked past the live queue, aux state and all, and un-parked when its block
+ends.  The parking ``remove`` doubles as the check that the policy picked a
+live request.  Every decision calls ``select_single`` / ``select_batch``,
+singletons included (no lone-request drain as in the single-NPU engine).
+``use_batch=False`` forces the scalar reference path.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
+from heapq import heappop, heappush
 from time import perf_counter
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
@@ -43,11 +45,12 @@ from repro.obs.bus import (
 )
 from repro.obs.profile import (
     PHASE_ARRIVALS,
+    PHASE_DISPATCH,
     PHASE_EVENT_HEAP,
     PHASE_QUEUE_UPDATE,
     PHASE_SELECT,
 )
-from repro.sim.engine import SimResult
+from repro.sim.engine import SimResult, _validate
 from repro.sim.ready_queue import ReadyQueue
 from repro.sim.request import Request
 
@@ -92,19 +95,11 @@ def simulate_multi(
             spans carry the accelerator id, so the Chrome-trace export
             shows one lane per NPU.  Passive, like ``energy``.
     """
-    if not requests:
-        raise SchedulingError("cannot simulate an empty workload")
+    _validate(requests, switch_cost, block_size)
     if num_accelerators <= 0:
         raise SchedulingError(f"need >= 1 accelerator, got {num_accelerators}")
-    if switch_cost < 0:
-        raise SchedulingError(f"switch cost must be >= 0, got {switch_cost}")
-    if block_size < 1:
-        raise SchedulingError(f"block size must be >= 1, got {block_size}")
-    for req in requests:
-        if req.next_layer != 0 or req.finish_time is not None:
-            raise SchedulingError(f"request {req.rid} was already (partially) executed")
-
     pending = sorted(requests, key=lambda r: (r.arrival, r.rid))
+    arrivals = [r.arrival for r in pending]
     scheduler.reset()
     obs = Observability.active(obs)
     tracer = obs.bus if obs is not None else None
@@ -116,79 +111,101 @@ def simulate_multi(
     if batch_on:
         queue = ReadyQueue(scheduler.lut, columns=scheduler.batch_columns)
         scheduler.bind_queue(queue)
+        q_forget = queue.forget
     else:
         scheduler.bind_queue(None)
         queue = []  # type: ignore[assignment]
     completed: List[Request] = []
-    # Block-completion events: (time, tiebreak, npu_id, request, n_layers, dt).
-    counter = itertools.count()
+    # Block-completion events: (time, tiebreak, npu_id, request, n_layers, dt);
+    # request None marks a wake-up for idle NPUs at an arrival instant.
+    next_id = itertools.count().__next__
     events: List = []
     idle: List[int] = list(range(num_accelerators))  # min-heap of idle NPUs
-    heapq.heapify(idle)
-    i = 0
     n = len(pending)
+    i = nq = 0  # next pending arrival, live queue length
     now = 0.0
-    preemptions = 0
-    invocations = 0
-    max_queue = 0
-    batch_selects = 0
+    next_wake: Optional[float] = None
+    preemptions = invocations = max_queue = batch_selects = 0
     last_on_npu: List[Optional[Request]] = [None] * num_accelerators
     # Whose weights currently sit in each accelerator (switch-cost tracking),
     # and which (model, pattern) key they belong to (weight-load counting).
     resident: List[Optional[Request]] = [None] * num_accelerators
     resident_key: List[Optional[str]] = [None] * num_accelerators
+    outside = f"scheduler {scheduler.name!r} selected a request outside the queue"
 
     c_completed = c_violations = None
     if telem is not None:
         telem.registry.gauge("queue_depth", lambda: len(queue))
-        telem.registry.gauge(
-            "busy_npus", lambda: num_accelerators - len(idle)
-        )
+        telem.registry.gauge("busy_npus", lambda: num_accelerators - len(idle))
         c_completed = telem.registry.counter("completed")
         c_violations = telem.registry.counter("violations")
+        telem.poll(0.0)
 
-    def admit(now: float) -> None:
-        nonlocal i
-        if prof is not None:
-            t0 = perf_counter()
-        while i < n and pending[i].arrival <= now + _EPS:
-            queue.append(pending[i])
-            scheduler.on_arrival(pending[i], now)
+    # Local bindings for the hot loop.
+    q_append = queue.append
+    q_remove = queue.remove
+    on_arrival = scheduler.on_arrival
+    on_layer_complete = scheduler.on_layer_complete
+    on_complete = scheduler.on_complete
+    select_scalar = scheduler.select
+    select_single = scheduler.select_single
+    select_batch = scheduler.select_batch
+    if prof is not None:
+        # Chained stamps (each closes one segment and opens the next), as
+        # in Pool.dispatch: the whole loop is attributed gap-free.
+        t_seg = perf_counter()
+        arr_s = sel_s = disp_s = heap_s = upd_s = 0.0
+        passes = 0  # event-heap pops
+
+    while True:
+        horizon = now + _EPS
+        while i < n and arrivals[i] <= horizon:
+            req = pending[i]
+            q_append(req)
+            on_arrival(req, now)
             if tracer is not None:
-                tracer.emit(KIND_ARRIVE, pending[i].arrival, rid=pending[i].rid)
+                tracer.emit(KIND_ARRIVE, req.arrival, rid=req.rid)
             i += 1
+            nq += 1
         if prof is not None:
-            prof.add(PHASE_ARRIVALS, perf_counter() - t0)
-
-    def dispatch(now: float) -> None:
-        """Hand queued requests to idle accelerators (lowest NPU id first)."""
-        nonlocal preemptions, invocations, max_queue, batch_selects
-        while idle and queue:
-            npu = heapq.heappop(idle)
-            nq = len(queue)
+            t1 = perf_counter()
+            arr_s += t1 - t_seg
+            t_seg = t1
+        # Hand queued requests to idle accelerators (lowest NPU id first).
+        while idle and nq:
+            npu = heappop(idle)
             if prof is not None:
-                t0 = perf_counter()
-            if not batch_on or queue.missing_entries:
-                chosen = scheduler.select(queue, now)
-            elif nq == 1:
-                chosen = scheduler.select_single(queue, now)
-                batch_selects += 1
+                t1 = perf_counter()
+            if not batch_on or queue._missing:
+                chosen = select_scalar(queue, now)
             else:
-                chosen = scheduler.select_batch(queue, now)
+                chosen = select_single(queue, now) if nq == 1 else select_batch(queue, now)
                 batch_selects += 1
             if prof is not None:
-                prof.add(PHASE_SELECT, perf_counter() - t0)
+                t2 = perf_counter()
+                sel_s += t2 - t1
+            # Park the winner before any bookkeeping: a selection outside
+            # the live queue (absent, or parked on another NPU) must leave
+            # the request untouched.  The parked-row remove is the check.
+            if batch_on:
+                try:
+                    q_remove(chosen, True)  # requeue=True, positional: cheaper call
+                except SchedulingError:
+                    raise SchedulingError(outside) from None
+            elif chosen in queue:
+                q_remove(chosen)
+            else:
+                raise SchedulingError(outside)
             invocations += 1
-            max_queue = max(max_queue, nq)
-            if chosen not in queue:
-                raise SchedulingError(
-                    f"scheduler {scheduler.name!r} selected a request outside the queue"
-                )
+            if nq > max_queue:
+                max_queue = nq
             if tracer is not None:
                 tracer.emit(KIND_SELECT, now, npu=npu, rid=chosen.rid,
                             args={"depth": nq})
+            nq -= 1
             previous = last_on_npu[npu]
-            if previous is not None and chosen is not previous and not previous.is_done:
+            if (previous is not None and chosen is not previous
+                    and previous.next_layer < previous._num_layers):
                 preemptions += 1
             last_on_npu[npu] = chosen
             if chosen.first_dispatch_time is None:
@@ -198,11 +215,9 @@ def simulate_multi(
                                 now - chosen.arrival, rid=chosen.rid)
             elif (tracer is not None and chosen.next_layer > 0
                     and now > chosen.last_run_end):
-                # Stall span: gap since this rid's previous execute span
-                # ended (emitted retroactively at re-dispatch).
+                # Stall span since the previous execute span, emitted late.
                 tracer.emit(KIND_PREEMPT, chosen.last_run_end,
-                            now - chosen.last_run_end, npu=npu,
-                            rid=chosen.rid)
+                            now - chosen.last_run_end, npu=npu, rid=chosen.rid)
             start = now
             if chosen is not resident[npu]:
                 if switch_cost > 0.0:
@@ -214,72 +229,52 @@ def simulate_multi(
                 if chosen._key != resident_key[npu]:
                     chosen.num_weight_loads += 1
                     resident_key[npu] = chosen._key
-            if batch_on:
-                queue.remove(chosen, requeue=True)
-            else:
-                queue.remove(chosen)
             nl = chosen.next_layer
-            layers = min(block_size, chosen.num_layers - nl)
-            if layers == 1:
-                dt = chosen.layer_latencies[nl]
-            else:
-                dt = sum(
-                    chosen.layer_latencies[nl + k] for k in range(layers)
-                )
+            layers = 1 if block_size == 1 else min(block_size, chosen._num_layers - nl)
+            lats = chosen.layer_latencies
+            dt = lats[nl] if layers == 1 else sum(lats[nl + k] for k in range(layers))
             if tracer is not None:
                 # Span from decision to block end: switch cost included.
                 tracer.emit(KIND_EXECUTE, now, (start + dt) - now, npu=npu,
-                            rid=chosen.rid,
-                            args={"layers": layers, "key": chosen._key})
-            heapq.heappush(events, (start + dt, next(counter), npu, chosen, layers, dt))
-
-    next_wake: Optional[float] = None
-
-    def arm_wake() -> None:
-        """Ensure an idle accelerator wakes at the next pending arrival."""
-        nonlocal next_wake
-        if idle and i < n and (next_wake is None or pending[i].arrival < next_wake):
-            next_wake = pending[i].arrival
-            heapq.heappush(events, (next_wake, next(counter), -1, None, 0, 0.0))
-
-    if telem is not None:
-        telem.poll(0.0)
-    admit(0.0)
-    dispatch(0.0)
-    arm_wake()
-
-    while events:
+                            rid=chosen.rid, args={"layers": layers, "key": chosen._key})
+            if prof is not None:
+                t3 = perf_counter()
+                disp_s += (t1 - t_seg) + (t3 - t2)
+            heappush(events, (start + dt, next_id(), npu, chosen, layers, dt))
+            if prof is not None:
+                t_seg = perf_counter()
+                heap_s += t_seg - t3
+        # Ensure an idle accelerator wakes at the next pending arrival.
+        if idle and i < n and (next_wake is None or arrivals[i] < next_wake):
+            next_wake = arrivals[i]
+            heappush(events, (next_wake, next_id(), -1, None, 0, 0.0))
+        if not events:
+            break
+        now, _, npu, req, layers, dt = heappop(events)
         if prof is not None:
-            t0 = perf_counter()
-        now, _, npu, req, layers, dt = heapq.heappop(events)
-        if prof is not None:
-            prof.add(PHASE_EVENT_HEAP, perf_counter() - t0)
+            t1 = perf_counter()
+            heap_s += t1 - t_seg
+            t_seg = t1
+            passes += 1
         if telem is not None:
             telem.poll(now)
         if req is None:
-            # Wake-up for idle accelerators at an arrival instant.
             next_wake = None
-            admit(now)
-            dispatch(now)
-            arm_wake()
             continue
-        if prof is not None:
-            t0 = perf_counter()
-        req.next_layer += layers
+        nl = req.next_layer + layers
+        req.next_layer = nl
         req.executed_time += dt
         req.last_run_end = now
-        if req.is_done:
+        if nl >= req._num_layers:
             if batch_on:
-                queue.forget(req.rid)
-            scheduler.on_layer_complete(req, now)
+                q_forget(req.rid)
+            on_layer_complete(req, now)
             req.finish_time = now
             completed.append(req)
-            scheduler.on_complete(req, now)
+            on_complete(req, now)
             if tracer is not None:
-                tracer.emit(
-                    KIND_VIOLATE if req.violated else KIND_COMPLETE,
-                    now, npu=npu, rid=req.rid,
-                )
+                tracer.emit(KIND_VIOLATE if req.violated else KIND_COMPLETE,
+                            now, npu=npu, rid=req.rid)
             if c_completed is not None:
                 c_completed.inc()
                 if req.violated:
@@ -287,20 +282,25 @@ def simulate_multi(
         else:
             # Re-admit before the monitor callback so batch schedulers can
             # refresh the request's row (parked at dispatch, un-parked here).
-            queue.append(req)
-            scheduler.on_layer_complete(req, now)
+            q_append(req)
+            nq += 1
+            on_layer_complete(req, now)
+        heappush(idle, npu)
         if prof is not None:
-            prof.add(PHASE_QUEUE_UPDATE, perf_counter() - t0)
-        heapq.heappush(idle, npu)
-        admit(now)
-        dispatch(now)
-        arm_wake()
+            t1 = perf_counter()
+            upd_s += t1 - t_seg
+            t_seg = t1
 
     if len(completed) != n:
         raise SchedulingError(
-            f"simulation ended with {n - len(completed)} unfinished requests"
-        )
+            f"simulation ended with {n - len(completed)} unfinished requests")
     if prof is not None:
+        prof.add(PHASE_ARRIVALS, arr_s, passes + 1)
+        prof.add(PHASE_SELECT, sel_s, invocations)
+        prof.add(PHASE_DISPATCH, disp_s, invocations)
+        prof.add(PHASE_EVENT_HEAP, heap_s + (perf_counter() - t_seg),
+                 invocations + passes)
+        prof.add(PHASE_QUEUE_UPDATE, upd_s, invocations)  # one per block end
         prof.wall_s += perf_counter() - t_begin
     if telem is not None:
         telem.finish(now)
@@ -310,10 +310,9 @@ def simulate_multi(
         num_preemptions=preemptions,
         num_scheduler_invocations=invocations,
         max_queue_length=max_queue,
-        num_batch_selects=batch_selects if batch_on else 0,
+        num_batch_selects=batch_selects,
     )
     if energy is not None:
         from repro.energy.accounting import energy_summary
-
         result.metrics.update(energy_summary(completed, energy))
     return result

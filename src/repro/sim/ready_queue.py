@@ -15,6 +15,9 @@ queue fast path), maintained incrementally:
   block end un-parks it with another (``add``) and refreshes only its
   progress columns, and a finished request's parked row is dropped
   (``forget``).  Constant columns and aux state never leave the row.
+  ``remove`` raises before touching any state when its argument is not a
+  live row, so the engines park a selected request as their membership
+  check: a policy that picks a stranger or a running request fails loudly.
 * **O(1) swap-remove** — removing a request moves another row into its
   slot in every column; order is not preserved (no converted policy is
   order-sensitive: every selection key ends in the unique rid).
@@ -388,7 +391,19 @@ class ReadyQueue(Sequence):
         rid = request.rid
         j = self._pos.get(rid)
         if j is not None:
-            return self._unpark(request, j)
+            # Un-park: move the row back into the live region, refreshed.
+            n = self._n
+            if j < n:
+                raise SchedulingError(f"request {rid} is already in the ready queue")
+            if j != n:
+                self._swap(j, n)
+            self._n = n + 1
+            if self._journal is not None:
+                self._journal.add(rid)
+            if self._need_entry and self._ls_missing[n]:
+                self._missing += 1
+            self._refresh_progress(request, n)
+            return n
         i = len(self._requests)
         if i == self._cap:
             self._grow()
@@ -457,29 +472,17 @@ class ReadyQueue(Sequence):
         self._n = n + 1
         return n
 
-    def _unpark(self, request: Request, j: int) -> int:
-        """Move parked row ``j`` back into the live region, refreshed."""
-        n = self._n
-        if j < n:
-            raise SchedulingError(
-                f"request {request.rid} is already in the ready queue"
-            )
-        if j != n:
-            self._swap(j, n)
-        self._n = n + 1
-        if self._journal is not None:
-            self._journal.add(request.rid)
-        if self._need_entry and self._ls_missing[n]:
-            self._missing += 1
-        self._refresh_progress(request, n)
-        return n
-
     #: Engines call ``queue.append(...)`` on both list- and array-backed
     #: queues; alias keeps the call sites uniform.
     append = add
 
     def remove(self, request: Request, requeue: bool = False) -> None:
         """Take ``request`` out of the live queue in O(1).
+
+        Raises :class:`SchedulingError` when ``request`` is not a live row
+        (absent, or parked on an accelerator), before any store changes.
+        The engines rely on this: parking the scheduler's pick doubles as
+        the check that the pick came from the live queue.
 
         Args:
             requeue: The request is only leaving to run a layer block and

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SchedulingError
-from repro.schedulers.base import make_scheduler
+from repro.cluster import Pool, simulate_cluster
+from repro.schedulers.base import Scheduler, available_schedulers, make_scheduler
 from repro.sim.engine import simulate
 from repro.sim.multi import simulate_multi
 
@@ -106,20 +107,26 @@ class TestMultiAccelerator:
 
         assert run(3).makespan < run(1).makespan / 2.5
 
-    @pytest.mark.parametrize("scheduler_name", ["fcfs", "sjf", "planaria", "dysta"])
-    @given(seed=st.integers(min_value=0, max_value=5000))
+    @pytest.mark.parametrize("scheduler_name", available_schedulers())
+    @given(seed=st.integers(min_value=0, max_value=5000),
+           switch_cost=st.sampled_from([0.0, 0.003]))
     @settings(max_examples=8, deadline=None)
-    def test_single_npu_pool_matches_engine(self, scheduler_name, seed):
+    def test_single_npu_pool_matches_engine(self, scheduler_name, seed, switch_cost):
+        """Per-layer blocks: one NPU is bit-identical to the single engine."""
         lut, requests_a = build_world(seed, n_models=2, n_requests=10)
         _, requests_b = build_world(seed, n_models=2, n_requests=10)
-        single = simulate(requests_a, make_scheduler(scheduler_name, lut))
+        single = simulate(requests_a, make_scheduler(scheduler_name, lut),
+                          switch_cost=switch_cost)
         pooled = simulate_multi(
-            requests_b, make_scheduler(scheduler_name, lut), num_accelerators=1
+            requests_b, make_scheduler(scheduler_name, lut), num_accelerators=1,
+            switch_cost=switch_cost,
         )
-        assert [r.finish_time for r in single.requests] == pytest.approx(
-            [r.finish_time for r in pooled.requests]
-        )
-        assert single.metrics["antt"] == pytest.approx(pooled.metrics["antt"])
+        assert [(r.rid, r.finish_time) for r in single.requests] == [
+            (r.rid, r.finish_time) for r in pooled.requests
+        ]
+        assert single.num_preemptions == pooled.num_preemptions
+        assert single.num_scheduler_invocations == pooled.num_scheduler_invocations
+        assert single.antt == pooled.antt
 
     def test_knob_validation(self, toy_lut):
         with pytest.raises(SchedulingError):
@@ -144,6 +151,9 @@ class TestMultiAccelerator:
             num_accelerators=1, switch_cost=0.003, block_size=2,
         )
         assert [r.rid for r in single.requests] == [r.rid for r in pooled.requests]
+        # approx, not ==: simulate adds a block's layer latencies to the
+        # clock one at a time, simulate_multi adds their pre-summed total,
+        # so multi-layer blocks differ in the last float bits.
         assert [r.finish_time for r in single.requests] == pytest.approx(
             [r.finish_time for r in pooled.requests]
         )
@@ -189,3 +199,84 @@ class TestMultiAccelerator:
         total_work = sum(r.isolated_latency for r in requests)
         span = result.makespan - min(r.arrival for r in requests)
         assert span * k >= total_work - 1e-9
+
+
+class StrangerScheduler(Scheduler):
+    """Picks a request that was never admitted to the queue."""
+
+    name = "stranger"
+    supports_batch = True
+
+    def __init__(self, lut):
+        super().__init__(lut)
+        self.stranger = short(999, 0.0)
+
+    def select(self, queue, now):
+        return self.stranger
+
+    select_single = select_batch = select
+
+
+class ThiefScheduler(Scheduler):
+    """Picks the lowest rid first, then keeps picking it while it runs on
+    another accelerator (a parked row in batch mode)."""
+
+    name = "thief"
+    supports_batch = True
+
+    def __init__(self, lut):
+        super().__init__(lut)
+        self.first = None
+
+    def select(self, queue, now):
+        if self.first is None:
+            self.first = min(queue, key=lambda r: r.rid)
+        return self.first
+
+    select_single = select_batch = select
+
+
+def _run_multi(use_batch):
+    def run(requests, scheduler):
+        simulate_multi(requests, scheduler, num_accelerators=2,
+                       use_batch=use_batch)
+    return run
+
+
+def _run_cluster(requests, scheduler):
+    simulate_cluster(requests, [Pool("a", scheduler, 2)])
+
+
+ENGINES = {
+    "multi_batch": _run_multi(True),
+    "multi_scalar": _run_multi(False),
+    "cluster": _run_cluster,
+}
+
+
+class TestOutsideQueueSelection:
+    """Every engine rejects a pick outside the live queue before it touches
+    the picked request (the batch paths' parking remove is the check)."""
+
+    @staticmethod
+    def state(req):
+        return (req.next_layer, req.first_dispatch_time, req.num_weight_loads)
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_stranger_rejected(self, toy_lut, engine):
+        scheduler = StrangerScheduler(toy_lut)
+        before = self.state(scheduler.stranger)
+        with pytest.raises(SchedulingError, match="outside the queue"):
+            ENGINES[engine]([long(0, 0.0), long(1, 0.0)], scheduler)
+        assert self.state(scheduler.stranger) == before == (0, None, 0)
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_running_request_rejected(self, toy_lut, engine):
+        scheduler = ThiefScheduler(toy_lut)
+        requests = [long(0, 0.0), long(1, 0.0)]
+        with pytest.raises(SchedulingError, match="outside the queue"):
+            ENGINES[engine](requests, scheduler)
+        # Dispatched once on NPU 0 and still mid-block: the second NPU's
+        # rejected pick charged no weight load and moved no progress.
+        assert scheduler.first is requests[0]
+        assert self.state(requests[0]) == (0, 0.0, 1)
