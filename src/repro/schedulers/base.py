@@ -46,8 +46,9 @@ class Scheduler(abc.ABC):
 
     #: True when (a) ``select`` on a singleton queue is stateless or
     #: idempotent and (b) ``on_layer_complete`` only overwrites per-request
-    #: state (never accumulates).  The engine may then run a lone request
-    #: for several consecutive layer blocks without re-invoking selection.
+    #: state (never accumulates).  At one NPU the engine may then run a lone
+    #: request for several consecutive layer blocks without re-invoking
+    #: selection (with more NPUs every decision calls the policy).
     single_drain_safe: bool = False
 
     #: Queue depth at which the batch path switches from a tight scalar
@@ -56,7 +57,8 @@ class Scheduler(abc.ABC):
     numpy_min_queue: int = 32
 
     #: True when ``select_single`` is exactly "return queue[0]" with no state
-    #: update; the engine then skips the call entirely on singleton queues.
+    #: update; at one NPU the engine then skips the call entirely on
+    #: singleton queues.
     trivial_single: bool = False
 
     #: Trace bus attached by the engine for the current run (``None`` when

@@ -8,27 +8,29 @@ chance to preempt at each layer boundary, exactly as the Dysta hardware
 scheduler is triggered (Algorithm 2, line 6).  Arrivals are admitted at layer
 boundaries (the hardware scheduler cannot interrupt a running layer).
 
-Two execution paths share these semantics:
+:func:`simulate` and :func:`repro.sim.multi.simulate_multi` are one event
+loop, :func:`_run`, at one and at ``num_accelerators`` NPUs: the paper's
+single time-shared NPU and its data-center pool are one scheduling model at
+two sizes.  A block advances the clock by its pre-summed latency, and the
+last block dispatched in a pass completes without an event-heap round trip
+when it ends strictly before the heap's top.  Converted schedulers score a
+:class:`~repro.sim.ready_queue.ReadyQueue` with ``select_single`` /
+``select_batch``; ``use_batch=False`` and unconverted schedulers run the
+scalar ``select`` over a plain list.
 
-* the **scalar path** (``use_batch=False``, and the automatic fallback for
-  schedulers without batch support) keeps the ready queue as a plain list
-  and calls ``scheduler.select`` at every boundary — the reference
-  implementation;
-* the **vectorized path** (default for converted schedulers) backs the
-  queue with :class:`~repro.sim.ready_queue.ReadyQueue` and dispatches to
-  ``select_single`` / ``select_batch``; when a lone request is the only
-  work and no arrival is due, drain-safe schedulers run it for consecutive
-  blocks without re-entering selection (each skipped boundary still counts
-  as a scheduler invocation — the decision is forced).
-
-Both paths produce identical completion schedules for converted policies
-(golden equivalence tests), because the batch implementations replicate the
-scalar scoring arithmetic bit for bit.
+Three shortcuts run only at one NPU, where no other accelerator can pick the
+running request: its row stays live, refreshed by ``update_progress`` at the
+block end instead of parked and un-parked; a ``trivial_single`` policy's
+lone request is taken without a call; and a ``single_drain_safe`` policy's
+lone request runs on through forced decisions (each still counted) while no
+arrival is due.  With more NPUs every decision calls the policy.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from time import perf_counter
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
@@ -46,7 +48,8 @@ from repro.obs.bus import (
 )
 from repro.obs.profile import (
     PHASE_ARRIVALS,
-    PHASE_EXECUTE,
+    PHASE_DISPATCH,
+    PHASE_EVENT_HEAP,
     PHASE_QUEUE_UPDATE,
     PHASE_SELECT,
 )
@@ -127,18 +130,6 @@ class SimResult:
         return self.metrics["edp"]
 
 
-def _validate(requests, switch_cost: float, block_size: int) -> None:
-    if not requests:
-        raise SchedulingError("cannot simulate an empty workload")
-    if switch_cost < 0:
-        raise SchedulingError(f"switch cost must be >= 0, got {switch_cost}")
-    if block_size < 1:
-        raise SchedulingError(f"block size must be >= 1, got {block_size}")
-    for req in requests:
-        if req.next_layer != 0 or req.finish_time is not None:
-            raise SchedulingError(f"request {req.rid} was already (partially) executed")
-
-
 def simulate(
     requests: Sequence[Request],
     scheduler: "Scheduler",
@@ -178,343 +169,300 @@ def simulate(
             bundle is normalized away, so the disabled path is literally
             the ``obs=None`` path.
     """
-    _validate(requests, switch_cost, block_size)
-    obs = Observability.active(obs)
+    return _run(requests, scheduler, 1, switch_cost, block_size, use_batch,
+                energy, obs)
+
+
+def _run(requests, scheduler, num_npus, switch_cost, block_size, use_batch,
+         energy, obs) -> SimResult:
+    """The event loop behind :func:`simulate` and ``simulate_multi``."""
+    if not requests:
+        raise SchedulingError("cannot simulate an empty workload")
+    if switch_cost < 0:
+        raise SchedulingError(f"switch cost must be >= 0, got {switch_cost}")
+    if block_size < 1:
+        raise SchedulingError(f"block size must be >= 1, got {block_size}")
+    for req in requests:
+        if req.next_layer != 0 or req.finish_time is not None:
+            raise SchedulingError(f"request {req.rid} was already (partially) executed")
+    if num_npus <= 0:
+        raise SchedulingError(f"need >= 1 accelerator, got {num_npus}")
     pending = sorted(requests, key=lambda r: (r.arrival, r.rid))
+    arrivals = [r.arrival for r in pending]
     scheduler.reset()
-    scheduler.trace_bus = obs.bus if obs is not None else None
+    obs = Observability.active(obs)
+    tracer = obs.bus if obs is not None else None
+    telem = obs.telemetry if obs is not None else None
     prof = obs.profiler if obs is not None else None
+    scheduler.trace_bus = tracer
     t_begin = perf_counter() if prof is not None else 0.0
-    if use_batch is not False and getattr(scheduler, "supports_batch", False):
-        result = _simulate_batch(pending, scheduler, switch_cost, block_size, obs)
+    batch_on = use_batch is not False and getattr(scheduler, "supports_batch", False)
+    single = num_npus == 1
+    if batch_on:
+        queue = ReadyQueue(scheduler.lut, columns=scheduler.batch_columns)
+        scheduler.bind_queue(queue)
+        q_forget = queue.forget
+        q_update = queue.update_progress
+        q_rows = queue._requests  # mutated in place, never rebound
+        q_row_of = queue._pos.get
     else:
         scheduler.bind_queue(None)
-        result = _simulate_scalar(pending, scheduler, switch_cost, block_size, obs)
-    if prof is not None:
-        prof.wall_s += perf_counter() - t_begin
-    if obs is not None and obs.telemetry is not None:
-        obs.telemetry.finish(result.makespan)
-    if energy is not None:
-        # Extend the already-computed latency summary with the energy keys
-        # only (no second summarize pass over the request list).
-        from repro.energy.accounting import energy_summary
-
-        result.metrics.update(energy_summary(result.requests, energy))
-    return result
-
-
-def _simulate_scalar(pending, scheduler, switch_cost, block_size, obs=None) -> SimResult:
-    """Reference scalar path: list-backed queue, ``select`` per boundary."""
-    queue: List[Request] = []
+        queue = []  # type: ignore[assignment]
+    # The one-NPU shortcuts (see the module docstring).
+    live_rows = single and batch_on
+    drain_ok = live_rows and scheduler.single_drain_safe
+    trivial = live_rows and scheduler.trivial_single
     completed: List[Request] = []
-    now = 0.0
-    i = 0
+    # Block-completion events: (time, tiebreak, npu_id, request, n_layers, dt);
+    # request None marks a wake-up for idle NPUs at an arrival instant.
+    next_id = itertools.count().__next__
+    events: List = []
+    idle: List[int] = list(range(num_npus))  # min-heap of idle NPUs
     n = len(pending)
-    preemptions = 0
-    invocations = 0
-    max_queue = 0
-    last_running = None
-    resident_request = None  # whose weights currently sit in the accelerator
-    resident_key = None  # which (model, pattern) weights are resident
+    i = nq = 0  # next pending arrival, live queue length
+    now = 0.0
+    next_wake: Optional[float] = None
+    preemptions = invocations = max_queue = batch_selects = 0
+    last_on_npu: List[Optional[Request]] = [None] * num_npus
+    # Whose weights currently sit in each accelerator (switch-cost tracking),
+    # and which (model, pattern) key they belong to (weight-load counting).
+    resident: List[Optional[Request]] = [None] * num_npus
+    resident_key: List[Optional[str]] = [None] * num_npus
+    outside = f"scheduler {scheduler.name!r} selected a request outside the queue"
 
-    tracer = obs.bus if obs is not None else None
-    telem = obs.telemetry if obs is not None else None
-    prof = obs.profiler if obs is not None else None
     c_completed = c_violations = None
     if telem is not None:
-        telem.registry.gauge("queue_depth", lambda: len(queue))
+        # Waiting requests only: at one NPU a running request stays queued.
+        telem.registry.gauge("queue_depth", lambda: len(queue) - (single and not idle))
+        telem.registry.gauge("busy_npus", lambda: num_npus - len(idle))
         c_completed = telem.registry.counter("completed")
         c_violations = telem.registry.counter("violations")
-
-    while i < n or queue:
-        if telem is not None:
-            telem.poll(now)
-        if prof is not None:
-            t0 = perf_counter()
-        while i < n and pending[i].arrival <= now + _EPS:
-            queue.append(pending[i])
-            scheduler.on_arrival(pending[i], now)
-            if tracer is not None:
-                tracer.emit(KIND_ARRIVE, pending[i].arrival, rid=pending[i].rid)
-            i += 1
-        if prof is not None:
-            prof.add(PHASE_ARRIVALS, perf_counter() - t0)
-        if not queue:
-            # Accelerator idle: fast-forward to the next arrival.
-            now = pending[i].arrival
-            continue
-
-        if prof is not None:
-            t0 = perf_counter()
-        chosen = scheduler.select(queue, now)
-        if prof is not None:
-            prof.add(PHASE_SELECT, perf_counter() - t0)
-        invocations += 1
-        max_queue = max(max_queue, len(queue))
-        if chosen not in queue:
-            raise SchedulingError(
-                f"scheduler {scheduler.name!r} selected a request outside the queue"
-            )
-        if tracer is not None:
-            tracer.emit(KIND_SELECT, now, rid=chosen.rid,
-                        args={"depth": len(queue)})
-        if last_running is not None and chosen is not last_running and not last_running.is_done:
-            preemptions += 1
-        last_running = chosen
-
-        if chosen.first_dispatch_time is None:
-            chosen.first_dispatch_time = now
-            if tracer is not None:
-                tracer.emit(KIND_QUEUE, chosen.arrival, now - chosen.arrival,
-                            rid=chosen.rid)
-        elif (tracer is not None and chosen.next_layer > 0
-                and now > chosen.last_run_end):
-            # Stall span: the gap since this request's previous execute
-            # span ended (emitted retroactively — the stall length is only
-            # known once the request is re-dispatched).
-            tracer.emit(KIND_PREEMPT, chosen.last_run_end,
-                        now - chosen.last_run_end, npu=0, rid=chosen.rid)
-        if prof is not None:
-            t0 = perf_counter()
-        exec_start = now
-        if chosen is not resident_request:
-            if switch_cost > 0.0:
-                if tracer is not None:
-                    tracer.emit(KIND_SWITCH, now, switch_cost, npu=0,
-                                rid=chosen.rid, args={"key": chosen._key})
-                now += switch_cost
-            resident_request = chosen
-            if chosen._key != resident_key:
-                chosen.num_weight_loads += 1
-                resident_key = chosen._key
-        # Execute one scheduling block: up to `block_size` consecutive layers.
-        layers = min(block_size, chosen.num_layers - chosen.next_layer)
-        for _ in range(layers):
-            dt = chosen.layer_latencies[chosen.next_layer]
-            now += dt
-            chosen.next_layer += 1
-            chosen.executed_time += dt
-        chosen.last_run_end = now
-        if prof is not None:
-            prof.add(PHASE_EXECUTE, perf_counter() - t0)
-        if tracer is not None:
-            tracer.emit(KIND_EXECUTE, exec_start, now - exec_start, npu=0,
-                        rid=chosen.rid,
-                        args={"layers": layers, "key": chosen._key})
-        scheduler.on_layer_complete(chosen, now)
-        if chosen.is_done:
-            chosen.finish_time = now
-            queue.remove(chosen)
-            completed.append(chosen)
-            scheduler.on_complete(chosen, now)
-            if tracer is not None:
-                tracer.emit(
-                    KIND_VIOLATE if chosen.violated else KIND_COMPLETE,
-                    now, rid=chosen.rid,
-                )
-            if c_completed is not None:
-                c_completed.inc()
-                if chosen.violated:
-                    c_violations.inc()
-
-    return SimResult(
-        requests=completed,
-        makespan=now,
-        num_preemptions=preemptions,
-        num_scheduler_invocations=invocations,
-        max_queue_length=max_queue,
-    )
-
-
-def _simulate_batch(pending, scheduler, switch_cost, block_size, obs=None) -> SimResult:
-    """Vectorized path: array-backed queue, batch scoring, singleton drain."""
-    queue = ReadyQueue(scheduler.lut, columns=scheduler.batch_columns)
-    scheduler.bind_queue(queue)
-    drain_ok = scheduler.single_drain_safe
-    trivial_single = scheduler.trivial_single
-    has_switch_cost = switch_cost > 0.0
-    arrivals = [r.arrival for r in pending]
-
-    completed: List[Request] = []
-    now = 0.0
-    i = 0
-    n = len(pending)
-    preemptions = 0
-    invocations = 0
-    max_queue = 0
-    batch_selects = 0
-    last_running = None
-    resident_request = None
-    resident_key = None
-
-    tracer = obs.bus if obs is not None else None
-    telem = obs.telemetry if obs is not None else None
-    prof = obs.profiler if obs is not None else None
-    c_completed = c_violations = None
-    if telem is not None:
-        telem.registry.gauge("queue_depth", lambda: queue._n)
-        c_completed = telem.registry.counter("completed")
-        c_violations = telem.registry.counter("violations")
+        telem.poll(0.0)
 
     # Local bindings for the hot loop.
+    q_append = queue.append
+    q_remove = queue.remove
     on_arrival = scheduler.on_arrival
     on_layer_complete = scheduler.on_layer_complete
     on_complete = scheduler.on_complete
     select_scalar = scheduler.select
     select_single = scheduler.select_single
     select_batch = scheduler.select_batch
-    q_add = queue.add
-    q_update = queue.update_progress
+    if prof is not None:
+        # Chained stamps (each closes one segment and opens the next), as
+        # in Pool.dispatch: the whole loop is attributed gap-free.
+        t_seg = perf_counter()
+        arr_s = sel_s = disp_s = heap_s = upd_s = 0.0
+        passes = 0  # block ends and wake-ups processed
 
-    while i < n or queue._n:
-        if telem is not None:
-            telem.poll(now)
-        if prof is not None:
-            t0 = perf_counter()
+    while True:
         while i < n and arrivals[i] <= now + _EPS:
             req = pending[i]
-            q_add(req)
+            q_append(req)
             on_arrival(req, now)
             if tracer is not None:
                 tracer.emit(KIND_ARRIVE, req.arrival, rid=req.rid)
             i += 1
+            nq += 1
         if prof is not None:
-            prof.add(PHASE_ARRIVALS, perf_counter() - t0)
-        nq = queue._n
-        if not nq:
-            now = arrivals[i]
-            continue
-
-        if prof is not None:
-            t0 = perf_counter()
-        if queue._missing:
-            # A request without a LUT entry: estimate-based policies must
-            # raise their usual error, so take the scalar path (which also
-            # keeps the membership safety check for arbitrary selections).
-            chosen = select_scalar(queue, now)
-            if chosen not in queue:
-                raise SchedulingError(
-                    f"scheduler {scheduler.name!r} selected a request outside the queue"
-                )
-        elif nq == 1:
-            chosen = queue._requests[0] if trivial_single else select_single(queue, now)
-            batch_selects += 1
-        else:
-            chosen = select_batch(queue, now)
-            batch_selects += 1
-        if prof is not None:
-            prof.add(PHASE_SELECT, perf_counter() - t0)
-        if tracer is not None:
-            tracer.emit(KIND_SELECT, now, rid=chosen.rid, args={"depth": nq})
-        invocations += 1
-        if nq > max_queue:
-            max_queue = nq
-        if (
-            last_running is not None
-            and chosen is not last_running
-            and last_running.next_layer < last_running._num_layers
-        ):
-            preemptions += 1
-        last_running = chosen
-
-        if chosen.first_dispatch_time is None:
-            chosen.first_dispatch_time = now
-            if tracer is not None:
-                tracer.emit(KIND_QUEUE, chosen.arrival, now - chosen.arrival,
-                            rid=chosen.rid)
-        elif (tracer is not None and chosen.next_layer > 0
-                and now > chosen.last_run_end):
-            # Stall span: gap since this rid's previous execute span ended.
-            tracer.emit(KIND_PREEMPT, chosen.last_run_end,
-                        now - chosen.last_run_end, npu=0, rid=chosen.rid)
-        if prof is not None:
-            t0 = perf_counter()
-        exec_start = now
-        if chosen is not resident_request:
-            if has_switch_cost:
-                if tracer is not None:
-                    tracer.emit(KIND_SWITCH, now, switch_cost, npu=0,
-                                rid=chosen.rid, args={"key": chosen._key})
-                now += switch_cost
-            resident_request = chosen
-            if chosen._key != resident_key:
-                chosen.num_weight_loads += 1
-                resident_key = chosen._key
-
-        lats = chosen.layer_latencies
-        num_layers = chosen._num_layers
-        nl = chosen.next_layer
-        nl_start = nl
-        et = chosen.executed_time
-        if block_size == 1:
-            dt = lats[nl]
-            now += dt
-            nl += 1
-            et += dt
-        else:
-            for _ in range(min(block_size, num_layers - nl)):
-                dt = lats[nl]
-                now += dt
-                nl += 1
-                et += dt
-        if drain_ok and nl < num_layers and nq == 1:
-            # Lone request, nothing else to schedule: keep executing blocks
-            # until it finishes or an arrival lands at a boundary.  Each
-            # skipped boundary is a forced decision and still counts as an
-            # invocation; `on_layer_complete` only needs the final call for
-            # drain-safe schedulers (overwrite-only monitor updates).
-            if block_size == 1:
-                next_arrival = arrivals[i] if i < n else None
-                while nl < num_layers and (next_arrival is None or next_arrival > now + _EPS):
-                    dt = lats[nl]
-                    now += dt
-                    nl += 1
-                    et += dt
-                    invocations += 1
-                    batch_selects += 1
+            t1 = perf_counter()
+            arr_s += t1 - t_seg
+            t_seg = t1
+        # Hand queued requests to idle accelerators (lowest NPU id first).
+        req = None  # the pass's last block, kept off the heap (below)
+        while idle and nq:
+            npu = heappop(idle)
+            if prof is not None:
+                t1 = perf_counter()
+            if not batch_on or queue._missing:
+                chosen = select_scalar(queue, now)
             else:
-                while nl < num_layers and (i >= n or arrivals[i] > now + _EPS):
-                    for _ in range(min(block_size, num_layers - nl)):
+                if nq > 1:
+                    chosen = select_batch(queue, now)
+                elif trivial:
+                    chosen = q_rows[0]
+                else:
+                    chosen = select_single(queue, now)
+                batch_selects += 1
+            if prof is not None:
+                t2 = perf_counter()
+                sel_s += t2 - t1
+            # Reject a pick outside the live queue (absent, or running on
+            # another NPU) before touching it.  Nothing is parked at one NPU,
+            # so a live pick owns its rid's row (an absent rid reads row -1);
+            # with more NPUs parking the winner is the check.
+            if live_rows:
+                if q_rows[q_row_of(chosen.rid, -1)] is not chosen:
+                    raise SchedulingError(outside)
+            elif batch_on:
+                try:
+                    q_remove(chosen, True)  # requeue=True, positional: cheaper call
+                except SchedulingError:
+                    raise SchedulingError(outside) from None
+            elif chosen not in queue:
+                raise SchedulingError(outside)
+            elif not single:
+                q_remove(chosen)
+            invocations += 1
+            if nq > max_queue:
+                max_queue = nq
+            if tracer is not None:
+                tracer.emit(KIND_SELECT, now, npu=npu, rid=chosen.rid,
+                            args={"depth": nq})
+            if not single:
+                nq -= 1
+            previous = last_on_npu[npu]
+            if (previous is not None and chosen is not previous
+                    and previous.next_layer < previous._num_layers):
+                preemptions += 1
+            last_on_npu[npu] = chosen
+            if chosen.first_dispatch_time is None:
+                chosen.first_dispatch_time = now
+                if tracer is not None:
+                    tracer.emit(KIND_QUEUE, chosen.arrival,
+                                now - chosen.arrival, rid=chosen.rid)
+            elif (tracer is not None and chosen.next_layer > 0
+                    and now > chosen.last_run_end):
+                # Stall span since the previous execute span, emitted late.
+                tracer.emit(KIND_PREEMPT, chosen.last_run_end,
+                            now - chosen.last_run_end, npu=npu, rid=chosen.rid)
+            start = now
+            if chosen is not resident[npu]:
+                if switch_cost > 0.0:
+                    if tracer is not None:
+                        tracer.emit(KIND_SWITCH, now, switch_cost, npu=npu,
+                                    rid=chosen.rid, args={"key": chosen._key})
+                    start += switch_cost
+                resident[npu] = chosen
+                if chosen._key != resident_key[npu]:
+                    chosen.num_weight_loads += 1
+                    resident_key[npu] = chosen._key
+            nl = nl0 = chosen.next_layer
+            lats = chosen.layer_latencies
+            if block_size == 1:
+                layers = 1
+                dt = lats[nl]
+            else:
+                layers = min(block_size, chosen._num_layers - nl)
+                dt = sum(lats[nl + k] for k in range(layers))
+            end = start + dt
+            if drain_ok and nq == 1 and nl + layers < chosen._num_layers:
+                # Lone request, nothing else to schedule: run on through
+                # forced decisions (each still counts as an invocation) until
+                # its last block or an arrival lands at a boundary.  Each
+                # finished block is committed as its block end would;
+                # drain-safe schedulers need only the final
+                # `on_layer_complete` (overwrite-only monitor updates).
+                num_layers = chosen._num_layers
+                et = chosen.executed_time
+                while nl + layers < num_layers and (i >= n or arrivals[i] > end + _EPS):
+                    nl += layers
+                    et += dt
+                    if block_size == 1:
                         dt = lats[nl]
-                        now += dt
-                        nl += 1
-                        et += dt
+                    else:
+                        layers = min(block_size, num_layers - nl)
+                        dt = sum(lats[nl + k] for k in range(layers))
+                    end += dt
                     invocations += 1
                     batch_selects += 1
-        chosen.next_layer = nl
-        chosen.executed_time = et
-        chosen.last_run_end = now
-        if prof is not None:
-            prof.add(PHASE_EXECUTE, perf_counter() - t0)
-            t0 = perf_counter()
-        if tracer is not None:
-            # One span per contiguous run on the accelerator (drained
-            # blocks included), not per layer — same lanes, fewer events.
-            tracer.emit(KIND_EXECUTE, exec_start, now - exec_start, npu=0,
-                        rid=chosen.rid,
-                        args={"layers": nl - nl_start, "key": chosen._key})
-        if nl >= num_layers:
-            chosen.finish_time = now
-            queue.remove(chosen)
-            completed.append(chosen)
-            on_layer_complete(chosen, now)
-            on_complete(chosen, now)
+                chosen.next_layer = nl
+                chosen.executed_time = et
             if tracer is not None:
-                tracer.emit(
-                    KIND_VIOLATE if chosen.violated else KIND_COMPLETE,
-                    now, rid=chosen.rid,
-                )
+                # One span per contiguous run, from decision to block end:
+                # switch cost and drained blocks included.
+                tracer.emit(KIND_EXECUTE, now, end - now, npu=npu, rid=chosen.rid,
+                            args={"layers": nl + layers - nl0, "key": chosen._key})
+            if prof is not None:
+                t3 = perf_counter()
+                disp_s += (t1 - t_seg) + (t3 - t2)
+                t_seg = t3
+            if idle and nq:
+                heappush(events, (end, next_id(), npu, chosen, layers, dt))
+                if prof is not None:
+                    t_seg = perf_counter()
+                    heap_s += t_seg - t3
+            else:
+                req = chosen
+        # Ensure an idle accelerator wakes at the next pending arrival.
+        if idle and i < n and (next_wake is None or arrivals[i] < next_wake):
+            if req is not None:
+                heappush(events, (end, next_id(), npu, req, layers, dt))
+                req = None
+            next_wake = arrivals[i]
+            heappush(events, (next_wake, next_id(), -1, None, 0, 0.0))
+        if req is not None and (not events or end < events[0][0]):
+            # The held block ends strictly first (always, at one NPU):
+            # complete it without a heap round trip.  Its tiebreak id is
+            # taken only on a push, and it is pushed before any wake-up,
+            # so the (time, id) event order is unchanged.
+            now = end
+        else:
+            if req is not None:
+                heappush(events, (end, next_id(), npu, req, layers, dt))
+            if not events:
+                break
+            now, _, npu, req, layers, dt = heappop(events)
+        if prof is not None:
+            t1 = perf_counter()
+            heap_s += t1 - t_seg
+            t_seg = t1
+            passes += 1
+        if telem is not None:
+            telem.poll(now)
+        if req is None:
+            next_wake = None
+            continue
+        nl = req.next_layer + layers
+        req.next_layer = nl
+        req.executed_time += dt
+        req.last_run_end = now
+        if nl >= req._num_layers:
+            if single:
+                q_remove(req)
+                nq -= 1
+            elif batch_on:
+                q_forget(req.rid)
+            on_layer_complete(req, now)
+            req.finish_time = now
+            completed.append(req)
+            on_complete(req, now)
+            if tracer is not None:
+                tracer.emit(KIND_VIOLATE if req.violated else KIND_COMPLETE,
+                            now, npu=npu, rid=req.rid)
             if c_completed is not None:
                 c_completed.inc()
-                if chosen.violated:
+                if req.violated:
                     c_violations.inc()
         else:
-            q_update(chosen)
-            on_layer_complete(chosen, now)
+            # Refresh the row before the monitor callback: in place at one
+            # NPU, else by re-admitting (un-parking) the request.
+            if live_rows:
+                q_update(req)
+            elif not single:
+                q_append(req)
+                nq += 1
+            on_layer_complete(req, now)
+        heappush(idle, npu)
         if prof is not None:
-            prof.add(PHASE_QUEUE_UPDATE, perf_counter() - t0)
+            t1 = perf_counter()
+            upd_s += t1 - t_seg
+            t_seg = t1
 
-    return SimResult(
+    if len(completed) != n:
+        raise SchedulingError(
+            f"simulation ended with {n - len(completed)} unfinished requests")
+    if prof is not None:
+        prof.add(PHASE_ARRIVALS, arr_s, passes + 1)
+        prof.add(PHASE_SELECT, sel_s, invocations)
+        prof.add(PHASE_DISPATCH, disp_s, invocations)
+        prof.add(PHASE_EVENT_HEAP, heap_s + (perf_counter() - t_seg),
+                 invocations + passes)
+        prof.add(PHASE_QUEUE_UPDATE, upd_s, invocations)  # one per block end
+        prof.wall_s += perf_counter() - t_begin
+    if telem is not None:
+        telem.finish(now)
+    result = SimResult(
         requests=completed,
         makespan=now,
         num_preemptions=preemptions,
@@ -522,3 +470,10 @@ def _simulate_batch(pending, scheduler, switch_cost, block_size, obs=None) -> Si
         max_queue_length=max_queue,
         num_batch_selects=batch_selects,
     )
+    if energy is not None:
+        # Extend the already-computed latency summary with the energy keys
+        # only (no second summarize pass over the request list).
+        from repro.energy.accounting import energy_summary
+
+        result.metrics.update(energy_summary(completed, energy))
+    return result

@@ -10,7 +10,8 @@ queue fast path), maintained incrementally:
 
 * **live and parked rows** — rows ``[0, len(queue))`` are the live queue
   every policy scans; the rows after them are *parked*: requests running a
-  layer block on an accelerator (multi / cluster engines).  Dispatch parks
+  layer block on an accelerator (engines with more than one NPU, and the
+  cluster engine).  Dispatch parks
   the winner with one row swap (``remove(request, requeue=True)``), the
   block end un-parks it with another (``add``) and refreshes only its
   progress columns, and a finished request's parked row is dropped
@@ -166,8 +167,11 @@ class ReadyQueue(Sequence):
         raise IndexError("ready-queue index out of range")
 
     def __contains__(self, item) -> bool:
-        i = self._pos.get(getattr(item, "rid", -1))
-        return i is not None and i < self._n and self._requests[i] is item
+        try:
+            i = self._pos[item.rid]
+        except (KeyError, AttributeError):
+            return False
+        return i < self._n and self._requests[i] is item
 
     def index_of(self, request: Request) -> int:
         """Slot index of live ``request``, or -1 when absent or parked."""
@@ -531,8 +535,9 @@ class ReadyQueue(Sequence):
 
         The engine has already mutated ``next_layer`` / ``executed_time`` /
         ``last_run_end``; this folds the new values into the columns in O(1)
-        (the multi-accelerator engines instead park the row at dispatch and
-        un-park it, refreshed, at the block end).  No-op for parked rows.
+        (the engines use it at one NPU; with more NPUs they park the row at
+        dispatch and un-park it, refreshed, at the block end).  No-op for
+        parked rows.
         """
         i = self._pos.get(request.rid)
         if i is None or i >= self._n:

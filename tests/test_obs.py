@@ -630,7 +630,7 @@ class TestEngineTelemetry:
                           make_scheduler("dysta", lut), obs=obs)
         table = obs.telemetry.to_table()
         assert obs.telemetry.columns() == [
-            "t", "completed", "queue_depth", "violations"]
+            "t", "busy_npus", "completed", "queue_depth", "violations"]
         # Samples carry the state as of each grid time, so the last row
         # counts exactly the requests finished by then (piecewise-constant
         # sampling, not an end-of-run summary).
@@ -644,6 +644,46 @@ class TestEngineTelemetry:
         assert table["t"][-1] == pytest.approx(
             0.05 * (obs.telemetry.num_samples - 1))
         assert table["t"][-1] <= result.makespan + 0.05
+
+    @staticmethod
+    def run_engine(engine, scheduler_name, obs):
+        traces, lut, spec = toy_world(slo=1.2)
+        requests = generate_workload(traces, spec)
+        scheduler = make_scheduler(scheduler_name, lut)
+        if engine == "single":
+            simulate(requests, scheduler, obs=obs)
+        elif engine == "cluster":
+            simulate_cluster(requests, [Pool("a", scheduler, 1)],
+                             make_router("jsq"), obs=obs)
+        else:
+            simulate_multi(requests, scheduler, obs=obs,
+                           num_accelerators=int(engine[-1]))
+        return requests
+
+    @pytest.mark.parametrize("engine", ["single", "multi1", "multi2", "cluster"])
+    @pytest.mark.parametrize("scheduler_name", ["dysta", "fcfs", "sjf"])
+    def test_samples_count_completions_as_of_their_time(self, engine,
+                                                        scheduler_name):
+        # A sample at grid time t sees the completions before t and may see
+        # those at exactly t, never a later one.
+        obs = Observability(telemetry=0.05)
+        requests = self.run_engine(engine, scheduler_name, obs)
+        finish = [r.finish_time for r in requests]
+        table = obs.telemetry.to_table()
+        assert len(table["t"]) > 10
+        for t, done in zip(table["t"], table["completed"]):
+            before = sum(f < t - 1e-9 for f in finish)
+            by = sum(f <= t + 1e-9 for f in finish)
+            assert before <= done <= by, (t, done, before, by)
+
+    @pytest.mark.parametrize("scheduler_name", ["dysta", "fcfs", "sjf"])
+    def test_single_engine_series_matches_one_npu_pool(self, scheduler_name):
+        # One gauge set for every NPU count: simulate's series is the
+        # one-NPU pool's, sample for sample.
+        single, pooled = Observability(telemetry=0.05), Observability(telemetry=0.05)
+        self.run_engine("single", scheduler_name, single)
+        self.run_engine("multi1", scheduler_name, pooled)
+        assert single.telemetry.to_table() == pooled.telemetry.to_table()
 
     def test_cluster_per_pool_columns(self):
         traces, lut, spec = toy_world(rate=80.0, n_requests=60)

@@ -1,12 +1,80 @@
-"""Unit tests for the layer-granularity scheduling engine."""
+"""Unit tests for the layer-granularity scheduling engine, and the scalar
+reference loop the engine is checked against."""
 
 import pytest
 
 from repro.errors import SchedulingError
-from repro.schedulers.base import Scheduler, make_scheduler
-from repro.sim.engine import simulate
+from repro.schedulers.base import Scheduler, available_schedulers, make_scheduler
+from repro.sim.engine import SimResult, simulate
 
 from conftest import make_request
+from test_batch_equivalence import toy_workload
+from test_property_engine import build_world
+
+
+def reference_simulate(requests, scheduler, switch_cost=0.0, block_size=1):
+    """The single-NPU engine as one plain loop: the test oracle.
+
+    A list-backed queue, ``scheduler.select`` at every block boundary, no
+    shortcuts.  A block advances the clock by its pre-summed latency, as
+    every engine does.
+    """
+    pending = sorted(requests, key=lambda r: (r.arrival, r.rid))
+    scheduler.reset()
+    scheduler.trace_bus = None
+    scheduler.bind_queue(None)
+    queue, completed = [], []
+    now = 0.0
+    i = preemptions = invocations = max_queue = 0
+    last_running = resident_request = resident_key = None
+    while i < len(pending) or queue:
+        while i < len(pending) and pending[i].arrival <= now + 1e-12:
+            queue.append(pending[i])
+            scheduler.on_arrival(pending[i], now)
+            i += 1
+        if not queue:
+            # Accelerator idle: fast-forward to the next arrival.
+            now = pending[i].arrival
+            continue
+        chosen = scheduler.select(queue, now)
+        invocations += 1
+        max_queue = max(max_queue, len(queue))
+        if chosen not in queue:
+            raise SchedulingError(
+                f"scheduler {scheduler.name!r} selected a request outside the queue")
+        if last_running is not None and chosen is not last_running and not last_running.is_done:
+            preemptions += 1
+        last_running = chosen
+        if chosen.first_dispatch_time is None:
+            chosen.first_dispatch_time = now
+        if chosen is not resident_request:
+            now += switch_cost
+            resident_request = chosen
+            if chosen.key != resident_key:
+                chosen.num_weight_loads += 1
+                resident_key = chosen.key
+        layers = min(block_size, chosen.num_layers - chosen.next_layer)
+        dt = sum(chosen.layer_latencies[chosen.next_layer + k] for k in range(layers))
+        now += dt
+        chosen.next_layer += layers
+        chosen.executed_time += dt
+        chosen.last_run_end = now
+        scheduler.on_layer_complete(chosen, now)
+        if chosen.is_done:
+            chosen.finish_time = now
+            queue.remove(chosen)
+            completed.append(chosen)
+            scheduler.on_complete(chosen, now)
+    return SimResult(requests=completed, makespan=now, num_preemptions=preemptions,
+                     num_scheduler_invocations=invocations, max_queue_length=max_queue)
+
+
+def schedule_of(result):
+    """Everything a run decides, per request and in total, for ``==``."""
+    return ([(r.rid, r.finish_time, r.executed_time, r.num_weight_loads,
+              r.first_dispatch_time) for r in result.requests],
+            result.makespan, result.num_preemptions,
+            result.num_scheduler_invocations, result.max_queue_length)
 
 
 class FirstInQueue(Scheduler):
@@ -113,3 +181,36 @@ class TestResultObject:
         assert result.antt == result.metrics["antt"]
         assert result.violation_rate == 0.0
         assert result.stp > 0
+
+
+class TestReferenceOracle:
+    """``simulate`` on both paths == the plain reference loop, bit for bit."""
+
+    @pytest.mark.parametrize("scheduler_name", available_schedulers())
+    @pytest.mark.parametrize("block_size", (1, 2))
+    @pytest.mark.parametrize("switch_cost", (0.0, 0.003))
+    @pytest.mark.parametrize("use_batch", (None, False))
+    def test_simulate_matches_reference(self, scheduler_name, block_size,
+                                        switch_cost, use_batch):
+        for seed in range(4):
+            lut, requests_a = build_world(seed, n_models=3, n_requests=12)
+            _, requests_b = build_world(seed, n_models=3, n_requests=12)
+            ref = reference_simulate(requests_a, make_scheduler(scheduler_name, lut),
+                                     switch_cost=switch_cost, block_size=block_size)
+            got = simulate(requests_b, make_scheduler(scheduler_name, lut),
+                           switch_cost=switch_cost, block_size=block_size,
+                           use_batch=use_batch)
+            assert schedule_of(got) == schedule_of(ref), seed
+
+    @pytest.mark.parametrize("scheduler_name", available_schedulers())
+    @pytest.mark.parametrize("use_batch", (None, False))
+    def test_deep_queue_matches_reference(self, toy_traces, toy_lut,
+                                          scheduler_name, use_batch):
+        # An overloaded stream: the queue grows past numpy_min_queue, so the
+        # numpy scoring and the selection cache decide too.
+        ref = reference_simulate(toy_workload(toy_traces, n=160, rate=200.0),
+                                 make_scheduler(scheduler_name, toy_lut))
+        got = simulate(toy_workload(toy_traces, n=160, rate=200.0),
+                       make_scheduler(scheduler_name, toy_lut), use_batch=use_batch)
+        assert ref.max_queue_length > 32
+        assert schedule_of(got) == schedule_of(ref)

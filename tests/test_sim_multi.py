@@ -150,13 +150,9 @@ class TestMultiAccelerator:
             requests_b, make_scheduler(scheduler_name, lut),
             num_accelerators=1, switch_cost=0.003, block_size=2,
         )
-        assert [r.rid for r in single.requests] == [r.rid for r in pooled.requests]
-        # approx, not ==: simulate adds a block's layer latencies to the
-        # clock one at a time, simulate_multi adds their pre-summed total,
-        # so multi-layer blocks differ in the last float bits.
-        assert [r.finish_time for r in single.requests] == pytest.approx(
-            [r.finish_time for r in pooled.requests]
-        )
+        assert [(r.rid, r.finish_time) for r in single.requests] == [
+            (r.rid, r.finish_time) for r in pooled.requests
+        ]
         assert single.num_preemptions == pooled.num_preemptions
         assert single.num_scheduler_invocations == pooled.num_scheduler_invocations
 
@@ -247,11 +243,20 @@ def _run_cluster(requests, scheduler):
     simulate_cluster(requests, [Pool("a", scheduler, 2)])
 
 
+def _run_single(use_batch):
+    def run(requests, scheduler):
+        simulate(requests, scheduler, use_batch=use_batch)
+    return run
+
+
 ENGINES = {
     "multi_batch": _run_multi(True),
     "multi_scalar": _run_multi(False),
     "cluster": _run_cluster,
 }
+#: A stranger can be picked at one NPU too; a running request cannot.
+STRANGER_ENGINES = dict(ENGINES, single_batch=_run_single(True),
+                        single_scalar=_run_single(False))
 
 
 class TestOutsideQueueSelection:
@@ -262,12 +267,12 @@ class TestOutsideQueueSelection:
     def state(req):
         return (req.next_layer, req.first_dispatch_time, req.num_weight_loads)
 
-    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("engine", sorted(STRANGER_ENGINES))
     def test_stranger_rejected(self, toy_lut, engine):
         scheduler = StrangerScheduler(toy_lut)
         before = self.state(scheduler.stranger)
         with pytest.raises(SchedulingError, match="outside the queue"):
-            ENGINES[engine]([long(0, 0.0), long(1, 0.0)], scheduler)
+            STRANGER_ENGINES[engine]([long(0, 0.0), long(1, 0.0)], scheduler)
         assert self.state(scheduler.stranger) == before == (0, None, 0)
 
     @pytest.mark.parametrize("engine", sorted(ENGINES))
